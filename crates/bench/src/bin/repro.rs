@@ -5,9 +5,14 @@
 //! cargo run -p sofia-bench --bin repro --release -- tab1 adpcm fig9
 //! ```
 //!
-//! Experiment ids (DESIGN.md §3): `fig1 fig2 fig3 fig4 fig5 fig6 fig7
-//! fig9 tab1 sec adpcm suite vcache fleet host ablate-block
-//! ablate-unroll ablate-sched confid`.
+//! Experiment ids: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig9 tab1 sec
+//! adpcm suite vcache fleet host backends chaos attacks ablate-block
+//! ablate-unroll ablate-sched confid`, or `all` (also the default with
+//! no arguments) for every one in that order. An unknown id runs
+//! nothing: `repro` lists the valid ids on stderr and exits with
+//! status 2.
+
+use std::process::ExitCode;
 
 use sofia_bench::{format_row, measure, measure_with, row_header};
 use sofia_core::machine::SofiaMachine;
@@ -19,66 +24,58 @@ use sofia_isa::{asm, disasm, Instruction};
 use sofia_transform::{BlockFormat, Transformer, RESET_PREV_PC};
 use sofia_workloads::{adpcm, Scale};
 
-fn main() {
+/// Every experiment by id, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 22] = [
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", || {
+        fig56(BlockFormat::exec4(), "fig5: 4-instruction execution block")
+    }),
+    ("fig6", || {
+        fig56(
+            BlockFormat::default(),
+            "fig6: 6-instruction execution block",
+        )
+    }),
+    ("fig7", fig7),
+    ("fig9", fig9),
+    ("tab1", tab1),
+    ("sec", security_eval),
+    ("adpcm", adpcm_eval),
+    ("suite", suite_eval),
+    ("vcache", vcache_eval),
+    ("fleet", fleet_eval),
+    ("host", host_eval),
+    ("backends", backends_eval),
+    ("chaos", chaos_eval),
+    ("attacks", attacks_eval),
+    ("ablate-block", ablate_block),
+    ("ablate-unroll", ablate_unroll),
+    ("ablate-sched", ablate_sched),
+    ("confid", confid),
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all" || a == "--all") {
-        vec![
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig9",
-            "tab1",
-            "sec",
-            "adpcm",
-            "suite",
-            "vcache",
-            "fleet",
-            "host",
-            "backends",
-            "chaos",
-            "attacks",
-            "ablate-block",
-            "ablate-unroll",
-            "ablate-sched",
-            "confid",
-        ]
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    for id in wanted {
-        match id {
-            "fig1" => fig1(),
-            "fig2" => fig2(),
-            "fig3" => fig3(),
-            "fig4" => fig4(),
-            "fig5" => fig56(BlockFormat::exec4(), "fig5: 4-instruction execution block"),
-            "fig6" => fig56(
-                BlockFormat::default(),
-                "fig6: 6-instruction execution block",
-            ),
-            "fig7" => fig7(),
-            "fig9" => fig9(),
-            "tab1" => tab1(),
-            "sec" | "sec-si" | "sec-cfi" => security_eval(),
-            "adpcm" => adpcm_eval(),
-            "suite" => suite_eval(),
-            "vcache" => vcache_eval(),
-            "fleet" => fleet_eval(),
-            "host" => host_eval(),
-            "backends" => backends_eval(),
-            "chaos" => chaos_eval(),
-            "attacks" => attacks_eval(),
-            "ablate-block" => ablate_block(),
-            "ablate-unroll" => ablate_unroll(),
-            "ablate-sched" => ablate_sched(),
-            "confid" => confid(),
-            other => eprintln!("unknown experiment `{other}` (see DESIGN.md §3)"),
-        }
+    let is_all = |a: &String| a == "all" || a == "--all";
+    let mut runs = Vec::new();
+    for id in args.iter().filter(|a| !is_all(a)) {
+        let Some(&(_, run)) = EXPERIMENTS.iter().find(|(known, _)| known == id) else {
+            let ids = EXPERIMENTS.map(|(id, _)| id).join(" ");
+            eprintln!("unknown experiment `{id}`; valid ids: all {ids}");
+            return ExitCode::from(2);
+        };
+        runs.push(run);
     }
+    if args.is_empty() || args.iter().any(is_all) {
+        runs = EXPERIMENTS.map(|(_, run)| run).to_vec();
+    }
+    for run in runs {
+        run();
+    }
+    ExitCode::SUCCESS
 }
 
 fn banner(title: &str) {

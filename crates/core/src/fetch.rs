@@ -8,7 +8,7 @@
 
 use sofia_cpu::fetch::{Batch, FetchCtx, FetchUnit, Slot, SlotOutcome};
 use sofia_cpu::Trap;
-use sofia_crypto::{mac, CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce};
+use sofia_crypto::{CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce};
 use sofia_isa::Instruction;
 use sofia_transform::{BlockFormat, BlockKind, SecureImage, RESET_PREV_PC};
 
@@ -147,14 +147,20 @@ pub fn fetch_block(
         }
     }
 
-    // SI verification (paper Fig. 3).
+    // SI verification (paper Fig. 3). The CBC chain absorbs the decrypted
+    // words in place, pair by pair with the last pair zero-padded:
+    // `mac::mac_words` over the padded domain, without copying the words
+    // out of `insts`.
     let kind = path.kind();
     let mac_cipher = match kind {
         BlockKind::Exec => &keys.mac_exec,
         BlockKind::Mux => &keys.mac_mux,
     };
-    let inst_words: Vec<u32> = insts.iter().map(|&(_, w)| w).collect();
-    let computed = mac::mac_words(mac_cipher, &inst_words, format.mac_padded_words(kind));
+    debug_assert_eq!(insts.len().div_ceil(2) * 2, format.mac_padded_words(kind));
+    let computed = Mac64::new(insts.chunks(2).fold(0, |state, pair| {
+        let hi = pair.get(1).map_or(0, |&(_, w)| w);
+        mac_cipher.encrypt_block(state ^ (u64::from(pair[0].1) | u64::from(hi) << 32))
+    }));
     if enforce_si && computed != Mac64::from_words(m1, m2) {
         return Err(Violation::MacMismatch { block_base: base });
     }

@@ -15,7 +15,8 @@
 //! file of `G` groups — `4·G` independent blocks ciphered together:
 //!
 //! * **AddRoundKey** — XOR each row word with the 16-bit round-key row
-//!   replicated into every sub-lane;
+//!   replicated into every sub-lane (the key schedule stores round keys
+//!   that way);
 //! * **SubColumn** — the S-box as a bitwise boolean circuit over the four
 //!   row words (derived from the algebraic normal form of the S-box and
 //!   pinned against the lookup table by test);
@@ -28,11 +29,16 @@
 //! more independent ALU work per round for the out-of-order core to
 //! overlap, until register pressure spills the state; which width wins
 //! is an empirical question the `host` bench answers per box, and
-//! [`LaneWidth::default`] records the measured winner.
+//! [`LaneWidth::default`] records the measured winner. Full passes run
+//! at the chosen width; a ragged tail runs one pass at the smallest
+//! power-of-two group count that covers it, so an 8-block fetch refill
+//! costs a 2-group pass, not a zero-padded 32-lane one.
 //!
-//! The scalar [`Rectangle::encrypt_block`] path stays as the reference
-//! oracle; `tests/bitslice_equiv.rs` pins every width to it over random
-//! keys, blocks and lane counts, and widths to each other.
+//! The scalar [`Rectangle::encrypt_block`] path holds one block in this
+//! row-word layout, replicated in every sub-lane. `tests/bitslice_equiv.rs` pins the
+//! scalar path and every width to a nibble-loop reference cipher, bulk
+//! APIs to the scalar path over random keys, blocks and lane counts, and
+//! widths to each other.
 
 use crate::rectangle::{Rectangle, ROUNDS};
 
@@ -92,7 +98,7 @@ fn rotl16(x: u64, k: u32) -> u64 {
 /// The RECTANGLE S-box as a bitwise boolean circuit (ANF of
 /// [`crate::SBOX`]): inputs/outputs are row words, bit-position-wise.
 #[inline(always)]
-fn sub_column(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
+fn sub_column([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
     let t01 = x0 & x1;
     let t02 = x0 & x2;
     let t12 = x1 & x2;
@@ -100,12 +106,12 @@ fn sub_column(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
     let y1 = !(x0 ^ x1 ^ x2 ^ (x1 & x3));
     let y2 = !(t01 ^ x2 ^ t02 ^ t12 ^ (t01 & x2) ^ x3 ^ (x2 & x3));
     let y3 = x1 ^ t02 ^ t12 ^ x3 ^ (x0 & x3) ^ (t12 & x3);
-    (y0, y1, y2, y3)
+    [y0, y1, y2, y3]
 }
 
 /// The inverse S-box circuit (ANF of [`crate::SBOX_INV`]).
 #[inline(always)]
-fn sub_column_inv(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
+pub(crate) fn sub_column_inv([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
     let t01 = x0 & x1;
     let t13 = x1 & x3;
     let t23 = x2 & x3;
@@ -113,18 +119,13 @@ fn sub_column_inv(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
     let y1 = x1 ^ x2 ^ (x0 & x2) ^ (x0 & x3);
     let y2 = x0 ^ x1 ^ x2 ^ x3 ^ (x0 & x3);
     let y3 = !(x0 ^ t01 ^ (x1 & x2) ^ t13 ^ (t01 & x3) ^ t23);
-    (y0, y1, y2, y3)
+    [y0, y1, y2, y3]
 }
 
-/// Broadcasts one round key's four 16-bit rows into full row words.
+/// Replicates four 16-bit rows into every sub-lane of four row words.
 #[inline(always)]
-fn broadcast(rk: &[u16; 4]) -> [u64; 4] {
-    [
-        rk[0] as u64 * LANE1,
-        rk[1] as u64 * LANE1,
-        rk[2] as u64 * LANE1,
-        rk[3] as u64 * LANE1,
-    ]
+pub(crate) fn broadcast(rows: &[u16; 4]) -> [u64; 4] {
+    rows.map(|r| u64::from(r) * LANE1)
 }
 
 /// Packs `4·G` blocks into `G` groups of row words.
@@ -163,19 +164,18 @@ fn unpack<const G: usize>(st: &[[u64; 4]; G], blocks: &mut [u64]) {
 /// Encrypts one full pass of `4·G` blocks in place.
 fn encrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
     let mut st = pack::<G>(blocks);
-    for rk in &cipher.round_keys[..ROUNDS] {
-        let k = broadcast(rk);
+    for k in &cipher.round_keys[..ROUNDS] {
         for s in &mut st {
-            let (y0, y1, y2, y3) = sub_column(s[0] ^ k[0], s[1] ^ k[1], s[2] ^ k[2], s[3] ^ k[3]);
+            let [y0, y1, y2, y3] = sub_column([s[0] ^ k[0], s[1] ^ k[1], s[2] ^ k[2], s[3] ^ k[3]]);
             s[0] = y0;
             s[1] = rotl16(y1, 1);
             s[2] = rotl16(y2, 12);
             s[3] = rotl16(y3, 13);
         }
     }
-    let k = broadcast(&cipher.round_keys[ROUNDS]);
+    let k = &cipher.round_keys[ROUNDS];
     for s in &mut st {
-        for (r, kr) in s.iter_mut().zip(&k) {
+        for (r, kr) in s.iter_mut().zip(k) {
             *r ^= kr;
         }
     }
@@ -185,17 +185,16 @@ fn encrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
 /// Decrypts one full pass of `4·G` blocks in place.
 fn decrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
     let mut st = pack::<G>(blocks);
-    let k = broadcast(&cipher.round_keys[ROUNDS]);
+    let k = &cipher.round_keys[ROUNDS];
     for s in &mut st {
-        for (r, kr) in s.iter_mut().zip(&k) {
+        for (r, kr) in s.iter_mut().zip(k) {
             *r ^= kr;
         }
     }
-    for rk in cipher.round_keys[..ROUNDS].iter().rev() {
-        let k = broadcast(rk);
+    for k in cipher.round_keys[..ROUNDS].iter().rev() {
         for s in &mut st {
-            let (y0, y1, y2, y3) =
-                sub_column_inv(s[0], rotl16(s[1], 15), rotl16(s[2], 4), rotl16(s[3], 3));
+            let [y0, y1, y2, y3] =
+                sub_column_inv([s[0], rotl16(s[1], 15), rotl16(s[2], 4), rotl16(s[3], 3)]);
             s[0] = y0 ^ k[0];
             s[1] = y1 ^ k[1];
             s[2] = y2 ^ k[2];
@@ -205,39 +204,55 @@ fn decrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
     unpack(&st, blocks);
 }
 
-/// Runs `pass` over `blocks` in chunks of `4·G` lanes, zero-padding the
-/// final ragged chunk (padding lanes are ciphered and discarded — lane
-/// independence makes the real lanes bit-identical to full passes, and
-/// to every other width's).
-fn drive<const G: usize>(cipher: &Rectangle, blocks: &mut [u64], pass: fn(&Rectangle, &mut [u64])) {
-    let lanes = LANES_PER_WORD * G;
+/// One pass of `4·G` blocks in place, for a fixed group count `G`.
+type Pass = fn(&Rectangle, &mut [u64]);
+
+/// Passes at 1, 2, 4, 8 and 16 groups: entry `i` runs `2^i` groups.
+const ENCRYPT_PASSES: [Pass; 5] = [
+    encrypt_pass::<1>,
+    encrypt_pass::<2>,
+    encrypt_pass::<4>,
+    encrypt_pass::<8>,
+    encrypt_pass::<16>,
+];
+
+/// The decrypting counterpart of [`ENCRYPT_PASSES`].
+const DECRYPT_PASSES: [Pass; 5] = [
+    decrypt_pass::<1>,
+    decrypt_pass::<2>,
+    decrypt_pass::<4>,
+    decrypt_pass::<8>,
+    decrypt_pass::<16>,
+];
+
+/// Runs full passes at `width` over `blocks`, then ciphers the ragged
+/// tail in one pass at the smallest group count (1, 2, 4, … up to the
+/// width's) that covers it, zero-padded. Padding lanes are ciphered and
+/// discarded; lane independence makes the real lanes bit-identical
+/// whichever pass size carries them.
+fn drive(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth, passes: &[Pass; 5]) {
+    let pass = |groups: usize| passes[groups.trailing_zeros() as usize];
+    let lanes = width.lanes();
     let mut chunks = blocks.chunks_exact_mut(lanes);
     for chunk in &mut chunks {
-        pass(cipher, chunk);
+        pass(lanes / LANES_PER_WORD)(cipher, chunk);
     }
     let rem = chunks.into_remainder();
     if !rem.is_empty() {
+        let groups = rem.len().div_ceil(LANES_PER_WORD).next_power_of_two();
         let mut buf = [0u64; 64];
         buf[..rem.len()].copy_from_slice(rem);
-        pass(cipher, &mut buf[..lanes]);
+        pass(groups)(cipher, &mut buf[..LANES_PER_WORD * groups]);
         rem.copy_from_slice(&buf[..rem.len()]);
     }
 }
 
 pub(crate) fn encrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
-    match width {
-        LaneWidth::W16 => drive::<4>(cipher, blocks, encrypt_pass::<4>),
-        LaneWidth::W32 => drive::<8>(cipher, blocks, encrypt_pass::<8>),
-        LaneWidth::W64 => drive::<16>(cipher, blocks, encrypt_pass::<16>),
-    }
+    drive(cipher, blocks, width, &ENCRYPT_PASSES);
 }
 
 pub(crate) fn decrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
-    match width {
-        LaneWidth::W16 => drive::<4>(cipher, blocks, decrypt_pass::<4>),
-        LaneWidth::W32 => drive::<8>(cipher, blocks, decrypt_pass::<8>),
-        LaneWidth::W64 => drive::<16>(cipher, blocks, decrypt_pass::<16>),
-    }
+    drive(cipher, blocks, width, &DECRYPT_PASSES);
 }
 
 #[cfg(test)]
@@ -255,9 +270,9 @@ mod tests {
                 let b = bit & 1;
                 b | (b << 7) | (b << 16) | (b << 37) | (b << 63)
             };
-            let x: Vec<u64> = (0..4).map(|r| spread(v >> r)).collect();
-            let (y0, y1, y2, y3) = super::sub_column(x[0], x[1], x[2], x[3]);
-            let (i0, i1, i2, i3) = super::sub_column_inv(x[0], x[1], x[2], x[3]);
+            let x = [0, 1, 2, 3].map(|r| spread(v >> r));
+            let [y0, y1, y2, y3] = super::sub_column(x);
+            let [i0, i1, i2, i3] = super::sub_column_inv(x);
             for pos in [0, 7, 16, 37, 63] {
                 let out = ((y0 >> pos) & 1)
                     | (((y1 >> pos) & 1) << 1)
