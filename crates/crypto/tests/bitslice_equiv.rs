@@ -1,7 +1,7 @@
 //! The bitsliced ≡ scalar equivalence suite. The oracle is [`oracle`],
 //! a nibble-at-a-time RECTANGLE-80 written here from the `SBOX` /
-//! `SBOX_INV` lookup tables, so it shares no code with the crate's ANF
-//! circuits. The scalar path ([`Rectangle::encrypt_block`]) and every
+//! `SBOX_INV` lookup tables, so it shares no code with the crate's
+//! boolean S-box circuits. The scalar path ([`Rectangle::encrypt_block`]) and every
 //! lane width are checked against it directly, including ragged batches
 //! sized to hit every tail pass. Every bulk API — block
 //! encrypt/decrypt, batched CTR keystream, lane-parallel CBC-MAC — must
