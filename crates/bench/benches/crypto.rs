@@ -16,13 +16,6 @@ fn bench_rectangle(c: &mut Criterion) {
             x
         })
     });
-    g.bench_function("decrypt_block", |b| {
-        let mut x = 0u64;
-        b.iter(|| {
-            x = cipher.decrypt_block(black_box(x));
-            x
-        })
-    });
     g.finish();
 
     c.bench_function("key_schedule", |b| {

@@ -8,7 +8,8 @@
 
 use sofia_cpu::fetch::{Batch, FetchCtx, FetchUnit, Slot, SlotOutcome};
 use sofia_cpu::Trap;
-use sofia_crypto::{CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce};
+use sofia_crypto::ctr::{self, PC_BITS};
+use sofia_crypto::{CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce, Rectangle};
 use sofia_isa::Instruction;
 use sofia_transform::{BlockFormat, BlockKind, SecureImage, RESET_PREV_PC};
 
@@ -40,7 +41,7 @@ impl EntryPath {
 }
 
 /// A successfully decrypted **and verified** block, ready to execute.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifiedBlock {
     /// Base address of the block.
     pub base: u32,
@@ -71,6 +72,9 @@ impl VerifiedBlock {
 /// disables the MAC comparison for the CFI-only ablation (normal
 /// operation passes `true`).
 ///
+/// Every pad is computed here: this is the reference form of the fetch
+/// path that [`SofiaFetchUnit`] runs with its sequential-edge table.
+///
 /// # Errors
 ///
 /// Returns the [`Violation`] the hardware would reset on.
@@ -86,92 +90,202 @@ pub fn fetch_block(
     prev_pc: u32,
     enforce_si: bool,
 ) -> Result<VerifiedBlock, Violation> {
-    let bb = format.block_bytes();
-    let text_end = text_base + text_words * 4;
-    if target < text_base || target >= text_end || target % 4 != 0 {
-        return Err(Violation::FetchOutOfImage { addr: target });
+    let mut insts = Vec::new();
+    let fetched = FetchPath {
+        keys,
+        seq_pads: &[],
+        nonce,
+        format,
+        text_base,
+        text_words,
+        enforce_si,
     }
-    let off = (target - text_base) % bb;
-    let base = target - off;
-    let path = match off {
-        0 => EntryPath::Exec,
-        4 => EntryPath::Mux1,
-        8 => EntryPath::Mux2,
-        _ => return Err(Violation::InvalidEntryOffset { target }),
-    };
-    // An exec-offset target is also how sequential fall-through arrives at
-    // a mux block — the transformer guarantees that never happens for
-    // honest programs; for tampered flow the MAC check below catches it.
+    .fetch(read_word, target, prev_pc, &mut insts)?;
+    Ok(fetched.into_verified(format, insts))
+}
 
-    let word_at = |w: usize| base + 4 * w as u32;
-    let bw = format.block_words();
+/// The keystream pads of every text word on its *sequential* edge: entry
+/// `i` is the low 32 bits of `E_k1({ω ‖ a_i − 4 ‖ a_i})` for the word at
+/// `a_i = text_base + 4·i`. Every fetched word but a block's entry word
+/// is sealed on exactly that edge, so these pads depend on nothing but
+/// the key, the nonce and the address, and one bulk pass computes them
+/// all. Empty when some sequential edge of the text does not fit a
+/// [`CounterBlock`]; the fetch path then computes every pad. Keystream
+/// is as secret as the key, so `Debug` shows only the count.
+#[derive(Clone)]
+struct SequentialPads(Vec<u32>);
 
-    // The `(sealing prevPC, PC)` walk for the selected path is fully
-    // determined before any ciphertext is read, so the whole block's
-    // keystream is one batched cipher sweep instead of a per-word loop.
-    // The first two entries decrypt the MAC words (M1/M2), the rest the
-    // instruction words. Mux paths skip the other entry's M1 word and
-    // chain M2 from addr(M1e2) on *both* paths (Fig. 8). `pads` holds
-    // the counters until the in-place sweep turns them into keystream —
-    // together with the address walk (which doubles as `fetched_addrs`)
-    // that is the only buffer this rewrite adds over the per-word loop.
-    let mut fetched_addrs: Vec<u32> = Vec::with_capacity(bw);
-    let mut pads: Vec<u64> = Vec::with_capacity(bw);
-    let entry_edges: [(u32, u32); 2] = match path {
-        EntryPath::Exec => [(prev_pc, word_at(0)), (word_at(0), word_at(1))],
-        EntryPath::Mux1 => [(prev_pc, word_at(0)), (word_at(1), word_at(2))],
-        EntryPath::Mux2 => [(prev_pc, word_at(1)), (word_at(1), word_at(2))],
-    };
-    let first_inst_word = match path {
-        EntryPath::Exec => 2,
-        EntryPath::Mux1 | EntryPath::Mux2 => 3,
-    };
-    for (prev, pc) in entry_edges
-        .into_iter()
-        .chain((first_inst_word..bw).map(|w| (word_at(w - 1), word_at(w))))
-    {
-        fetched_addrs.push(pc);
-        pads.push(CounterBlock::from_edge(nonce, prev, pc).as_u64());
+impl SequentialPads {
+    fn new(ctr: &Rectangle, image: &SecureImage) -> SequentialPads {
+        let text_end = u64::from(image.text_base) + 4 * image.ctext.len() as u64;
+        if image.text_base % 4 != 0 || image.text_base < 4 || text_end > 4 << PC_BITS {
+            return SequentialPads(Vec::new());
+        }
+        let counters: Vec<CounterBlock> = (0..image.ctext.len() as u32)
+            .map(|i| {
+                let pc = image.text_base + 4 * i;
+                CounterBlock::from_edge(image.nonce, pc - 4, pc)
+            })
+            .collect();
+        SequentialPads(ctr::pads(ctr, &counters))
     }
-    keys.ctr.encrypt_blocks(&mut pads);
+}
 
-    let (mut m1, mut m2) = (0u32, 0u32);
-    let mut insts: Vec<(u32, u32)> = Vec::with_capacity(bw - first_inst_word);
-    for (i, (&pc, &pad)) in fetched_addrs.iter().zip(&pads).enumerate() {
-        let c = read_word(pc).ok_or(Violation::FetchOutOfImage { addr: pc })?;
-        let word = c ^ pad as u32;
-        match i {
-            0 => m1 = word,
-            1 => m2 = word,
-            _ => insts.push((pc, word)),
+impl std::fmt::Debug for SequentialPads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SequentialPads(<{} pads redacted>)", self.0.len())
+    }
+}
+
+/// The fixed inputs of one image's fetch path: keys, geometry and the
+/// sequential-edge pads (which may be empty).
+struct FetchPath<'a> {
+    keys: &'a ExpandedKeys,
+    seq_pads: &'a [u32],
+    nonce: Nonce,
+    format: &'a BlockFormat,
+    text_base: u32,
+    text_words: u32,
+    enforce_si: bool,
+}
+
+impl FetchPath<'_> {
+    /// The pad for the word at `pc` reached from `prev`: from the table
+    /// when the edge is sequential and the table covers `pc`, else one
+    /// scalar cipher call.
+    fn pad(&self, prev: u32, pc: u32) -> u32 {
+        if prev.wrapping_add(4) == pc {
+            let word = pc.wrapping_sub(self.text_base) / 4;
+            if let Some(&pad) = self.seq_pads.get(word as usize) {
+                return pad;
+            }
+        }
+        ctr::pad(
+            &self.keys.ctr,
+            CounterBlock::from_edge(self.nonce, prev, pc),
+        )
+    }
+
+    /// Classifies `target`, decrypts the selected path into `insts`
+    /// (cleared first; MAC words stripped) and verifies the block's
+    /// CBC-MAC.
+    fn fetch(
+        &self,
+        read_word: &mut dyn FnMut(u32) -> Option<u32>,
+        target: u32,
+        prev_pc: u32,
+        insts: &mut Vec<(u32, u32)>,
+    ) -> Result<Fetched, Violation> {
+        let bb = self.format.block_bytes();
+        let text_end = self.text_base + self.text_words * 4;
+        if target < self.text_base || target >= text_end || target % 4 != 0 {
+            return Err(Violation::FetchOutOfImage { addr: target });
+        }
+        let off = (target - self.text_base) % bb;
+        let base = target - off;
+        let path = match off {
+            0 => EntryPath::Exec,
+            4 => EntryPath::Mux1,
+            8 => EntryPath::Mux2,
+            _ => return Err(Violation::InvalidEntryOffset { target }),
+        };
+        // An exec-offset target is also how sequential fall-through arrives
+        // at a mux block — the transformer guarantees that never happens
+        // for honest programs; for tampered flow the MAC check below
+        // catches it.
+        let fetched = Fetched {
+            base,
+            path,
+            prev_pc,
+        };
+
+        // Only the entry edge carries a runtime `prevPC`; every later
+        // edge of the walk is sequential, so a fetch makes at most one
+        // cipher call for its keystream (none on fall-through).
+        let (mut m1, mut m2) = (0u32, 0u32);
+        insts.clear();
+        for (i, (prev, pc)) in fetched.edges(self.format).enumerate() {
+            let pad = self.pad(prev, pc);
+            let c = read_word(pc).ok_or(Violation::FetchOutOfImage { addr: pc })?;
+            let word = c ^ pad;
+            match i {
+                0 => m1 = word,
+                1 => m2 = word,
+                _ => insts.push((pc, word)),
+            }
+        }
+
+        // SI verification (paper Fig. 3). The CBC chain absorbs the
+        // decrypted words in place, pair by pair with the last pair
+        // zero-padded: `mac::mac_words` over the padded domain, without
+        // copying the words out of `insts`.
+        let kind = path.kind();
+        let mac_cipher = match kind {
+            BlockKind::Exec => &self.keys.mac_exec,
+            BlockKind::Mux => &self.keys.mac_mux,
+        };
+        debug_assert_eq!(
+            insts.len().div_ceil(2) * 2,
+            self.format.mac_padded_words(kind)
+        );
+        let computed = Mac64::new(insts.chunks(2).fold(0, |state, pair| {
+            let hi = pair.get(1).map_or(0, |&(_, w)| w);
+            mac_cipher.encrypt_block(state ^ (u64::from(pair[0].1) | u64::from(hi) << 32))
+        }));
+        if self.enforce_si && computed != Mac64::from_words(m1, m2) {
+            return Err(Violation::MacMismatch { block_base: base });
+        }
+        Ok(fetched)
+    }
+}
+
+/// Where a fetch landed: the block, the path into it and the `prevPC`
+/// it arrived with — which, with the block format, fixes every word the
+/// fetch reads and the edge each was sealed on.
+#[derive(Clone, Copy, Debug)]
+struct Fetched {
+    base: u32,
+    path: EntryPath,
+    prev_pc: u32,
+}
+
+impl Fetched {
+    /// The `(sealing prevPC, PC)` edge of every word the path fetches, in
+    /// order. The first two decrypt the MAC words (M1/M2), the rest the
+    /// instruction words. Mux paths skip the other entry's M1 word and
+    /// chain M2 from addr(M1e2) on *both* paths (Fig. 8).
+    fn edges(self, format: &BlockFormat) -> impl Iterator<Item = (u32, u32)> {
+        let word_at = move |w: usize| self.base + 4 * w as u32;
+        let entry = match self.path {
+            EntryPath::Exec => [(self.prev_pc, word_at(0)), (word_at(0), word_at(1))],
+            EntryPath::Mux1 => [(self.prev_pc, word_at(0)), (word_at(1), word_at(2))],
+            EntryPath::Mux2 => [(self.prev_pc, word_at(1)), (word_at(1), word_at(2))],
+        };
+        let first_inst_word = format.mac_words(self.path.kind());
+        entry.into_iter().chain(
+            (first_inst_word..format.block_words()).map(move |w| (word_at(w - 1), word_at(w))),
+        )
+    }
+
+    /// Words the path fetches: both MAC words it decrypts plus the
+    /// instruction words.
+    fn words_fetched(self, format: &BlockFormat) -> u32 {
+        (2 + format.block_words() - format.mac_words(self.path.kind())) as u32
+    }
+
+    fn last_word_addr(self, format: &BlockFormat) -> u32 {
+        self.base + format.block_bytes() - 4
+    }
+
+    fn into_verified(self, format: &BlockFormat, insts: Vec<(u32, u32)>) -> VerifiedBlock {
+        VerifiedBlock {
+            base: self.base,
+            path: self.path,
+            insts,
+            words_fetched: self.words_fetched(format),
+            fetched_addrs: self.edges(format).map(|(_, pc)| pc).collect(),
         }
     }
-
-    // SI verification (paper Fig. 3). The CBC chain absorbs the decrypted
-    // words in place, pair by pair with the last pair zero-padded:
-    // `mac::mac_words` over the padded domain, without copying the words
-    // out of `insts`.
-    let kind = path.kind();
-    let mac_cipher = match kind {
-        BlockKind::Exec => &keys.mac_exec,
-        BlockKind::Mux => &keys.mac_mux,
-    };
-    debug_assert_eq!(insts.len().div_ceil(2) * 2, format.mac_padded_words(kind));
-    let computed = Mac64::new(insts.chunks(2).fold(0, |state, pair| {
-        let hi = pair.get(1).map_or(0, |&(_, w)| w);
-        mac_cipher.encrypt_block(state ^ (u64::from(pair[0].1) | u64::from(hi) << 32))
-    }));
-    if enforce_si && computed != Mac64::from_words(m1, m2) {
-        return Err(Violation::MacMismatch { block_base: base });
-    }
-
-    Ok(VerifiedBlock {
-        base,
-        path,
-        words_fetched: fetched_addrs.len() as u32,
-        fetched_addrs,
-        insts,
-    })
 }
 
 /// Why a cached edge from a snapshot could not re-earn its cache line
@@ -190,9 +304,9 @@ pub(crate) enum LineRejection {
     },
 }
 
-/// Decodes a verified block's instruction words into slots, enforcing
-/// the store-position rule before any architectural effect — the
-/// **single** implementation shared by the live fetch path
+/// Decodes the instruction words of a verified block of `kind` into
+/// slots, enforcing the store-position rule before any architectural
+/// effect — the **single** implementation shared by the live fetch path
 /// ([`SofiaFetchUnit::fetch_batch`]) and snapshot-restore
 /// re-verification ([`SofiaFetchUnit::reverify_line`]), so the two can
 /// never diverge on what a verified block is allowed to contain.
@@ -204,11 +318,12 @@ pub(crate) enum LineRejection {
 /// live path, a restore error on the snapshot path).
 fn decode_block_slots(
     format: &BlockFormat,
-    block: &VerifiedBlock,
+    kind: BlockKind,
+    insts: &[(u32, u32)],
     mut sink: impl FnMut(Slot),
 ) -> Result<(), LineRejection> {
-    let first_word = format.mac_words(block.path.kind());
-    for (idx, &(pc, word)) in block.insts.iter().enumerate() {
+    let first_word = format.mac_words(kind);
+    for (idx, &(pc, word)) in insts.iter().enumerate() {
         let inst = Instruction::decode(word)
             .map_err(|e| LineRejection::Undecodable { pc, word: e.word() })?;
         let word_pos = first_word + idx;
@@ -271,6 +386,8 @@ pub struct FetchPathStats {
 #[derive(Clone, Debug)]
 pub struct SofiaFetchUnit {
     keys: ExpandedKeys,
+    /// Built once here, never stored in the image or a snapshot.
+    seq_pads: SequentialPads,
     nonce: Nonce,
     format: BlockFormat,
     timing: SofiaTiming,
@@ -285,6 +402,9 @@ pub struct SofiaFetchUnit {
     cur_last_word: u32,
     stats: FetchPathStats,
     vcache: VCache,
+    /// The last uncached fetch's decrypted instruction words, kept so a
+    /// refill reuses the allocation.
+    insts: Vec<(u32, u32)>,
 }
 
 impl SofiaFetchUnit {
@@ -306,8 +426,10 @@ impl SofiaFetchUnit {
         enforce_si: bool,
         vcache: VCacheConfig,
     ) -> Self {
+        let keys = keys.expand();
         SofiaFetchUnit {
-            keys: keys.expand(),
+            seq_pads: SequentialPads::new(&keys.ctr, image),
+            keys,
             nonce: image.nonce,
             format: image.format,
             timing,
@@ -322,6 +444,7 @@ impl SofiaFetchUnit {
             cur_last_word: RESET_PREV_PC,
             stats: FetchPathStats::default(),
             vcache: VCache::new(vcache),
+            insts: Vec::new(),
         }
     }
 
@@ -420,40 +543,66 @@ impl SofiaFetchUnit {
         prev_pc: u32,
         target: u32,
     ) -> Result<CachedBlock, LineRejection> {
-        let block = fetch_block(
-            read_word,
-            &self.keys,
-            self.nonce,
-            &self.format,
-            self.text_base,
-            self.text_words,
-            target,
-            prev_pc,
-            self.enforce_si,
-        )
-        .map_err(LineRejection::Violation)?;
-        let mut slots: Vec<Slot> = Vec::with_capacity(block.insts.len());
-        decode_block_slots(&self.format, &block, |slot| slots.push(slot))?;
+        let mut insts = Vec::new();
+        let fetched = self
+            .fetch_path()
+            .fetch(read_word, target, prev_pc, &mut insts)
+            .map_err(LineRejection::Violation)?;
+        let kind = fetched.path.kind();
+        let mut slots: Vec<Slot> = Vec::with_capacity(insts.len());
+        decode_block_slots(&self.format, kind, &insts, |slot| slots.push(slot))?;
         Ok(CachedBlock {
-            base: block.base,
-            last_word_addr: block.last_word_addr(&self.format),
-            kind: block.path.kind(),
-            words_fetched: block.words_fetched,
+            base: fetched.base,
+            last_word_addr: fetched.last_word_addr(&self.format),
+            kind,
+            words_fetched: fetched.words_fetched(&self.format),
             slots: slots.into(),
         })
     }
 
-    fn account_block(&mut self, block: &VerifiedBlock, slots: &[Slot], ctx: &mut FetchCtx<'_>) {
-        let kind = block.path.kind();
+    /// This unit's fetch path: its keys, geometry and sequential-edge
+    /// table.
+    fn fetch_path(&self) -> FetchPath<'_> {
+        FetchPath {
+            keys: &self.keys,
+            seq_pads: &self.seq_pads.0,
+            nonce: self.nonce,
+            format: &self.format,
+            text_base: self.text_base,
+            text_words: self.text_words,
+            enforce_si: self.enforce_si,
+        }
+    }
+
+    /// One uncached fetch of `(prev_pc, target)` through
+    /// [`SofiaFetchUnit::fetch_path`], decrypting into the unit's reusable
+    /// `insts` buffer.
+    fn refill(
+        &mut self,
+        read_word: &mut dyn FnMut(u32) -> Option<u32>,
+        target: u32,
+        prev_pc: u32,
+    ) -> Result<Fetched, Violation> {
+        let mut insts = std::mem::take(&mut self.insts);
+        let fetched = self
+            .fetch_path()
+            .fetch(read_word, target, prev_pc, &mut insts);
+        self.insts = insts;
+        fetched
+    }
+
+    fn account_block(&mut self, fetched: Fetched, slots: &[Slot], ctx: &mut FetchCtx<'_>) {
+        let kind = fetched.path.kind();
+        let words_fetched = fetched.words_fetched(&self.format);
         let bt = self
             .timing
-            .block_cycles(&self.format, kind, block.words_fetched, self.redirected);
+            .block_cycles(&self.format, kind, words_fetched, self.redirected);
         self.stats.blocks += 1;
         match kind {
             BlockKind::Exec => self.stats.exec_blocks += 1,
             BlockKind::Mux => self.stats.mux_blocks += 1,
         }
-        self.stats.mac_nop_slots += (block.words_fetched as usize - slots.len()) as u64;
+        self.stats.mac_nop_slots += (words_fetched as usize - slots.len()) as u64;
         self.stats.ctr_ops += bt.ctr_ops as u64;
         self.stats.cbc_ops += bt.cbc_ops as u64;
         self.stats.cipher_stall_cycles += bt.cipher_stall as u64;
@@ -471,7 +620,7 @@ impl SofiaFetchUnit {
         }
         // I-cache: ciphertext words are cached in front of the decrypt
         // unit (Fig. 1), so every fetched word touches the cache.
-        for &addr in &block.fetched_addrs {
+        for (_, addr) in fetched.edges(&self.format) {
             let stall = ctx.icache.access_cycles(addr) as u64;
             ctx.stats.icache_stall_cycles += stall;
             ctx.stats.cycles += stall;
@@ -538,33 +687,27 @@ impl FetchUnit for SofiaFetchUnit {
         } else if self.vcache.is_enabled() {
             self.stats.vcache_misses += 1;
         }
-        let fetched = fetch_block(
+        let fetched = match self.refill(
             &mut |addr| ctx.mem.fetch(addr).ok(),
-            &self.keys,
-            self.nonce,
-            &self.format,
-            self.text_base,
-            self.text_words,
             self.next_target,
             self.prev_pc,
-            self.enforce_si,
-        );
-        let block = match fetched {
-            Ok(b) => b,
+        ) {
+            Ok(f) => f,
             Err(v) => return Ok(Some(v)),
         };
         // Decode everything up front; check the store-position rule before
         // any architectural effect (the hardware's early-store reset).
-        match decode_block_slots(&self.format, &block, |slot| out.push(slot)) {
+        let kind = fetched.path.kind();
+        match decode_block_slots(&self.format, kind, &self.insts, |slot| out.push(slot)) {
             Ok(()) => {}
             Err(LineRejection::Undecodable { pc, word }) => {
                 return Err(Trap::IllegalInstruction { word, pc })
             }
             Err(LineRejection::Violation(v)) => return Ok(Some(v)),
         }
-        self.account_block(&block, out.as_slice(), ctx);
-        self.cur_base = block.base;
-        self.cur_last_word = block.last_word_addr(&self.format);
+        self.account_block(fetched, out.as_slice(), ctx);
+        self.cur_base = fetched.base;
+        self.cur_last_word = fetched.last_word_addr(&self.format);
         // Only now — past the MAC, the decoder and the store-position
         // rule — may the block enter the cache: nothing that would trap
         // or violate on the uncached path is ever replayable from it.
@@ -572,10 +715,10 @@ impl FetchUnit for SofiaFetchUnit {
             let evicted = self.vcache.insert(
                 edge,
                 CachedBlock {
-                    base: block.base,
+                    base: fetched.base,
                     last_word_addr: self.cur_last_word,
-                    kind: block.path.kind(),
-                    words_fetched: block.words_fetched,
+                    kind,
+                    words_fetched: fetched.words_fetched(&self.format),
                     slots: out.to_shared(),
                 },
             );
@@ -750,5 +893,228 @@ mod tests {
         }
         let err = fetch(&moved, &keys, img.entry, RESET_PREV_PC).unwrap_err();
         assert!(matches!(err, Violation::MacMismatch { .. }));
+    }
+
+    #[test]
+    fn unit_debug_redacts_the_pad_table() {
+        let (img, keys) = image("main: addi t0, zero, 9\n halt");
+        let unit = SofiaFetchUnit::new(&img, &keys, SofiaTiming::default(), true);
+        let dbg = format!("{unit:?}");
+        let n = img.ctext.len();
+        assert!(dbg.contains(&format!("SequentialPads(<{n} pads redacted>)")));
+        let leaked = unit.seq_pads.0.iter().any(|p| dbg.contains(&p.to_string()));
+        assert!(!leaked, "a pad appears in the unit's Debug output");
+    }
+
+    /// The fetch path written out word by word, every pad through
+    /// [`ctr::pad`] and the MAC through [`sofia_crypto::mac::mac_words`]:
+    /// the reference the unit's table-backed fetch must match exactly.
+    fn reference_fetch(
+        img: &SecureImage,
+        keys: &ExpandedKeys,
+        ctext: &[u32],
+        target: u32,
+        prev_pc: u32,
+    ) -> Result<VerifiedBlock, Violation> {
+        let format = img.format;
+        let bb = format.block_bytes();
+        let text_end = img.text_base + 4 * ctext.len() as u32;
+        if target < img.text_base || target >= text_end || target % 4 != 0 {
+            return Err(Violation::FetchOutOfImage { addr: target });
+        }
+        let base = target - (target - img.text_base) % bb;
+        let (path, mut words, first_edge) = match target - base {
+            0 => (EntryPath::Exec, vec![0, 1], (prev_pc, base)),
+            4 => (EntryPath::Mux1, vec![0, 2], (prev_pc, base)),
+            8 => (EntryPath::Mux2, vec![1, 2], (prev_pc, base + 4)),
+            _ => return Err(Violation::InvalidEntryOffset { target }),
+        };
+        words.extend(format.mac_words(path.kind())..format.block_words());
+        let mut plain = Vec::new();
+        let mut fetched_addrs = Vec::new();
+        for (i, &w) in words.iter().enumerate() {
+            let pc = base + 4 * w as u32;
+            // M2 is sealed on the edge from addr(M1e2) on both mux paths.
+            let prev = if i == 0 { first_edge.0 } else { pc - 4 };
+            let c = ctext
+                .get(((pc - img.text_base) / 4) as usize)
+                .copied()
+                .ok_or(Violation::FetchOutOfImage { addr: pc })?;
+            plain.push(ctr::apply(
+                &keys.ctr,
+                CounterBlock::from_edge(img.nonce, prev, pc),
+                c,
+            ));
+            fetched_addrs.push(pc);
+        }
+        let kind = path.kind();
+        let mac_key = match kind {
+            BlockKind::Exec => &keys.mac_exec,
+            BlockKind::Mux => &keys.mac_mux,
+        };
+        let computed =
+            sofia_crypto::mac::mac_words(mac_key, &plain[2..], format.mac_padded_words(kind));
+        if computed != Mac64::from_words(plain[0], plain[1]) {
+            return Err(Violation::MacMismatch { block_base: base });
+        }
+        Ok(VerifiedBlock {
+            base,
+            path,
+            insts: fetched_addrs[2..]
+                .iter()
+                .copied()
+                .zip(plain[2..].iter().copied())
+                .collect(),
+            words_fetched: words.len() as u32,
+            fetched_addrs,
+        })
+    }
+
+    /// A program with loops, fall-through and a thrice-called leaf, so
+    /// every format seals exec blocks and both mux paths.
+    const EQUIV_SRC: &str = "main: li t0, 3
+                   li t1, 0
+             loop: jal f
+                   subi t0, t0, 1
+                   bnez t0, loop
+                   addi t1, t1, 7
+                   addi t1, t1, 7
+                   addi t1, t1, 7
+                   addi t1, t1, 7
+                   addi t1, t1, 7
+                   addi t1, t1, 7
+                   addi t1, t1, 7
+                   jal f
+                   jal f
+                   li a0, 0xFFFF0000
+                   sw t1, 0(a0)
+                   halt
+             f:    addi t1, t1, 1
+                   ret";
+
+    /// One sealed image per format with the honest `(prevPC, target)`
+    /// edges a run takes, reset entry first.
+    struct Sealed {
+        img: SecureImage,
+        keys: KeySet,
+        edges: Vec<(u32, u32)>,
+    }
+
+    fn sealed(format: BlockFormat) -> Sealed {
+        let keys = KeySet::from_seed(0xE9);
+        let img = Transformer::new(keys.clone())
+            .with_format(format)
+            .transform(&asm::parse(EQUIV_SRC).unwrap())
+            .unwrap();
+        let mut m = crate::machine::SofiaMachine::new(&img, &keys);
+        let mut edges = Vec::new();
+        while !m.is_halted() {
+            edges.push((m.prev_pc(), m.next_target()));
+            assert!(m.step_block().unwrap().violation.is_none());
+        }
+        Sealed { img, keys, edges }
+    }
+
+    /// Default, exec4, and a block far wider than either.
+    fn equiv_images() -> &'static [Sealed] {
+        static IMAGES: std::sync::OnceLock<Vec<Sealed>> = std::sync::OnceLock::new();
+        IMAGES.get_or_init(|| {
+            let wide = BlockFormat {
+                exec_insts: 30,
+                ..BlockFormat::default()
+            };
+            [BlockFormat::default(), BlockFormat::exec4(), wide]
+                .into_iter()
+                .map(sealed)
+                .collect()
+        })
+    }
+
+    #[test]
+    fn equivalence_corpus_covers_every_path_and_edge_kind() {
+        for s in equiv_images() {
+            let bb = s.img.format.block_bytes();
+            let offsets: Vec<u32> = s
+                .edges
+                .iter()
+                .map(|&(_, t)| (t - s.img.text_base) % bb)
+                .collect();
+            for off in [0, 4, 8] {
+                assert!(
+                    offsets.contains(&off),
+                    "{:?}: no entry at offset {off}",
+                    s.img.format
+                );
+            }
+            assert_eq!(s.edges[0], (RESET_PREV_PC, s.img.entry));
+            assert!(s.edges.iter().any(|&(p, t)| p + 4 == t), "no fall-through");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The unit's fetch (sequential pads from its table, at most one
+        /// scalar pad per fetch) returns exactly the reference's result —
+        /// words, MAC verdict and violation kind — on honest edges,
+        /// hijacked `prevPC`s, arbitrary targets and flipped ciphertext.
+        #[test]
+        fn table_fetch_matches_reference(
+            image in 0usize..3,
+            edge in proptest::prelude::any::<usize>(),
+            mutation in 0u32..5,
+            r in proptest::prelude::any::<u32>(),
+            bit in 0u32..32,
+        ) {
+            let s = &equiv_images()[image];
+            let img = &s.img;
+            let text_bytes = 4 * img.ctext.len() as u32;
+            let (mut prev, mut target) = s.edges[edge % s.edges.len()];
+            let mut ctext = img.ctext.clone();
+            match mutation {
+                0 => {}
+                // Hijacked `prevPC`: a word next to the target, or any word
+                // of the text or just past it.
+                1 if r % 2 == 0 => prev = (target + 4 * (r / 2 % 5)).saturating_sub(8),
+                1 => prev = img.text_base + 4 * (r % (img.ctext.len() as u32 + 4)),
+                // Any aligned target in the text: every entry offset.
+                2 => target = img.text_base + 4 * (r % img.ctext.len() as u32),
+                // Out of image: below, past the end, or unaligned.
+                3 => {
+                    target = match r % 3 {
+                        0 => img.text_base.wrapping_sub(4 * (1 + r % 64)),
+                        1 => img.text_base + text_bytes + 4 * (r % 64),
+                        _ => (img.text_base + r % text_bytes) | (1 << (r % 2)),
+                    }
+                }
+                // One flipped ciphertext bit in the fetched block.
+                _ => {
+                    let base = (target - img.text_base) / 4;
+                    let w = base as usize - base as usize % img.format.block_words()
+                        + r as usize % img.format.block_words();
+                    ctext[w] ^= 1 << bit;
+                }
+            }
+            let keys = s.keys.expand();
+            let expect = reference_fetch(img, &keys, &ctext, target, prev);
+            let mut unit = SofiaFetchUnit::new(img, &s.keys, SofiaTiming::default(), true);
+            let base = img.text_base;
+            let mut read = |addr: u32| ctext.get(((addr - base) / 4) as usize).copied();
+            let got = match unit.refill(&mut read, target, prev) {
+                Ok(f) => {
+                    // Only the entry edge may need a cipher call.
+                    proptest::prop_assert!(f.edges(&img.format).skip(1).all(|(p, pc)| p + 4 == pc));
+                    Ok(f.into_verified(&img.format, unit.insts.clone()))
+                }
+                Err(v) => Err(v),
+            };
+            proptest::prop_assert_eq!(&got, &expect);
+            // The public, table-free entry point agrees too.
+            let public = fetch_block(
+                &mut read, &keys, img.nonce, &img.format, img.text_base,
+                img.ctext.len() as u32, target, prev, true,
+            );
+            proptest::prop_assert_eq!(public, expect);
+        }
     }
 }

@@ -109,19 +109,6 @@ fn sub_column([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
     [y0, y1, y2, y3]
 }
 
-/// The inverse S-box circuit (ANF of [`crate::SBOX_INV`]).
-#[inline(always)]
-pub(crate) fn sub_column_inv([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
-    let t01 = x0 & x1;
-    let t13 = x1 & x3;
-    let t23 = x2 & x3;
-    let y0 = !(x0 ^ x2 ^ (t01 & x2) ^ x3 ^ t13 ^ t23);
-    let y1 = x1 ^ x2 ^ (x0 & x2) ^ (x0 & x3);
-    let y2 = x0 ^ x1 ^ x2 ^ x3 ^ (x0 & x3);
-    let y3 = !(x0 ^ t01 ^ (x1 & x2) ^ t13 ^ (t01 & x3) ^ t23);
-    [y0, y1, y2, y3]
-}
-
 /// Replicates four 16-bit rows into every sub-lane of four row words.
 #[inline(always)]
 pub(crate) fn broadcast(rows: &[u16; 4]) -> [u64; 4] {
@@ -182,28 +169,6 @@ fn encrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
     unpack(&st, blocks);
 }
 
-/// Decrypts one full pass of `4·G` blocks in place.
-fn decrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
-    let mut st = pack::<G>(blocks);
-    let k = &cipher.round_keys[ROUNDS];
-    for s in &mut st {
-        for (r, kr) in s.iter_mut().zip(k) {
-            *r ^= kr;
-        }
-    }
-    for k in cipher.round_keys[..ROUNDS].iter().rev() {
-        for s in &mut st {
-            let [y0, y1, y2, y3] =
-                sub_column_inv([s[0], rotl16(s[1], 15), rotl16(s[2], 4), rotl16(s[3], 3)]);
-            s[0] = y0 ^ k[0];
-            s[1] = y1 ^ k[1];
-            s[2] = y2 ^ k[2];
-            s[3] = y3 ^ k[3];
-        }
-    }
-    unpack(&st, blocks);
-}
-
 /// One pass of `4·G` blocks in place, for a fixed group count `G`.
 type Pass = fn(&Rectangle, &mut [u64]);
 
@@ -216,22 +181,13 @@ const ENCRYPT_PASSES: [Pass; 5] = [
     encrypt_pass::<16>,
 ];
 
-/// The decrypting counterpart of [`ENCRYPT_PASSES`].
-const DECRYPT_PASSES: [Pass; 5] = [
-    decrypt_pass::<1>,
-    decrypt_pass::<2>,
-    decrypt_pass::<4>,
-    decrypt_pass::<8>,
-    decrypt_pass::<16>,
-];
-
-/// Runs full passes at `width` over `blocks`, then ciphers the ragged
+/// Encrypts `blocks` in place: full passes at `width`, then the ragged
 /// tail in one pass at the smallest group count (1, 2, 4, … up to the
 /// width's) that covers it, zero-padded. Padding lanes are ciphered and
 /// discarded; lane independence makes the real lanes bit-identical
 /// whichever pass size carries them.
-fn drive(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth, passes: &[Pass; 5]) {
-    let pass = |groups: usize| passes[groups.trailing_zeros() as usize];
+pub(crate) fn encrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
+    let pass = |groups: usize| ENCRYPT_PASSES[groups.trailing_zeros() as usize];
     let lanes = width.lanes();
     let mut chunks = blocks.chunks_exact_mut(lanes);
     for chunk in &mut chunks {
@@ -247,20 +203,12 @@ fn drive(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth, passes: &[Pas
     }
 }
 
-pub(crate) fn encrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
-    drive(cipher, blocks, width, &ENCRYPT_PASSES);
-}
-
-pub(crate) fn decrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
-    drive(cipher, blocks, width, &DECRYPT_PASSES);
-}
-
 #[cfg(test)]
 mod tests {
     use super::LaneWidth;
-    use crate::{Key80, Rectangle, SBOX, SBOX_INV};
+    use crate::{Key80, Rectangle, SBOX};
 
-    /// The boolean circuits agree with the lookup tables on every input,
+    /// The boolean circuit agrees with the lookup table on every input,
     /// in every sub-lane position.
     #[test]
     fn circuits_match_sbox_tables() {
@@ -272,18 +220,12 @@ mod tests {
             };
             let x = [0, 1, 2, 3].map(|r| spread(v >> r));
             let [y0, y1, y2, y3] = super::sub_column(x);
-            let [i0, i1, i2, i3] = super::sub_column_inv(x);
             for pos in [0, 7, 16, 37, 63] {
                 let out = ((y0 >> pos) & 1)
                     | (((y1 >> pos) & 1) << 1)
                     | (((y2 >> pos) & 1) << 2)
                     | (((y3 >> pos) & 1) << 3);
-                assert_eq!(out as u8, SBOX[v as usize], "fwd input {v} pos {pos}");
-                let inv = ((i0 >> pos) & 1)
-                    | (((i1 >> pos) & 1) << 1)
-                    | (((i2 >> pos) & 1) << 2)
-                    | (((i3 >> pos) & 1) << 3);
-                assert_eq!(inv as u8, SBOX_INV[v as usize], "inv input {v} pos {pos}");
+                assert_eq!(out as u8, SBOX[v as usize], "input {v} pos {pos}");
             }
         }
     }
@@ -306,12 +248,9 @@ mod tests {
         for width in LaneWidth::ALL {
             let blocks: Vec<u64> = (0..width.lanes()).map(|_| x.next_u64()).collect();
             let expect: Vec<u64> = blocks.iter().map(|&b| cipher.encrypt_block(b)).collect();
-            let mut enc = blocks.clone();
+            let mut enc = blocks;
             super::encrypt_blocks(&cipher, &mut enc, width);
             assert_eq!(enc, expect, "{width}");
-            let mut dec = enc;
-            super::decrypt_blocks(&cipher, &mut dec, width);
-            assert_eq!(dec, blocks, "{width}");
         }
     }
 
@@ -323,11 +262,9 @@ mod tests {
             for n in [0usize, 1, 3, 4, 15, 16, 17, 31, 33, 63, 65, 100] {
                 let blocks: Vec<u64> = (0..n).map(|_| x.next_u64()).collect();
                 let expect: Vec<u64> = blocks.iter().map(|&b| cipher.encrypt_block(b)).collect();
-                let mut got = blocks.clone();
+                let mut got = blocks;
                 super::encrypt_blocks(&cipher, &mut got, width);
                 assert_eq!(got, expect, "{width}, batch of {n}");
-                super::decrypt_blocks(&cipher, &mut got, width);
-                assert_eq!(got, blocks, "{width}, roundtrip of {n}");
             }
         }
     }

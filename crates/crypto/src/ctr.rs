@@ -81,8 +81,8 @@ pub fn pad(cipher: &Rectangle, counter: CounterBlock) -> u32 {
 /// bitsliced sweep ([`Rectangle::encrypt_blocks`]): bit-identical to
 /// mapping [`pad`] over the slice, but ciphering [`LaneWidth::lanes`]
 /// counters per pass at the default width. This is the bulk path behind
-/// sealing whole images and refilling block fetches, where every counter
-/// of the sweep is known up front.
+/// sealing whole images and building a fetch unit's sequential-edge pad
+/// table, where every counter of the sweep is known up front.
 pub fn pads(cipher: &Rectangle, counters: &[CounterBlock]) -> Vec<u32> {
     pads_with(cipher, counters, LaneWidth::default())
 }

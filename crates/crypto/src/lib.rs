@@ -42,9 +42,7 @@ pub use bitslice::LaneWidth;
 pub use ctr::CounterBlock;
 pub use keys::{ExpandedKeys, KeySet, Nonce};
 pub use mac::Mac64;
-pub use rectangle::{
-    Key80, Rectangle, CYCLES_ITERATED, CYCLES_UNROLLED_13, ROUNDS, SBOX, SBOX_INV,
-};
+pub use rectangle::{Key80, Rectangle, CYCLES_ITERATED, CYCLES_UNROLLED_13, ROUNDS, SBOX};
 
 /// Which host implementation drives *bulk* cipher work (sealing whole
 /// images, batched keystream sweeps). Purely a host-performance knob:

@@ -18,8 +18,11 @@
 //! too, is a boolean S-box circuit applied to the native row state, held
 //! in the row-word layout of [`crate::bitslice`], so no load depends on
 //! a secret. The oracle that both this path and the bitsliced engine
-//! are checked against is a nibble-at-a-time reference over
-//! [`SBOX`]/[`SBOX_INV`] in `tests/bitslice_equiv.rs`.
+//! are checked against is a nibble-at-a-time reference over [`SBOX`] in
+//! `tests/bitslice_equiv.rs`.
+//!
+//! Only the forward permutation exists: SOFIA runs the cipher in CTR
+//! mode and as a CBC-MAC, and neither ever inverts it.
 
 use crate::bitslice::{self, LaneWidth};
 
@@ -27,17 +30,6 @@ use crate::bitslice::{self, LaneWidth};
 pub const SBOX: [u8; 16] = [
     0x6, 0x5, 0xC, 0xA, 0x1, 0xE, 0x7, 0x9, 0xB, 0x0, 0x3, 0xD, 0x8, 0xF, 0x4, 0x2,
 ];
-
-/// The inverse of [`SBOX`].
-pub const SBOX_INV: [u8; 16] = {
-    let mut inv = [0u8; 16];
-    let mut i = 0;
-    while i < 16 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
 
 /// Number of cipher rounds.
 pub const ROUNDS: usize = 25;
@@ -58,10 +50,10 @@ pub const CYCLES_UNROLLED_13: u32 = 2;
 /// ```
 /// use sofia_crypto::{Key80, Rectangle};
 ///
-/// let key = Key80::from_bytes([0x42; 10]);
-/// let cipher = Rectangle::new(&key);
-/// let ct = cipher.encrypt_block(0x0123_4567_89AB_CDEF);
-/// assert_eq!(cipher.decrypt_block(ct), 0x0123_4567_89AB_CDEF);
+/// let block = 0x0123_4567_89AB_CDEF;
+/// let a = Rectangle::new(&Key80::from_bytes([0x42; 10]));
+/// let b = Rectangle::new(&Key80::from_bytes([0x43; 10]));
+/// assert_ne!(a.encrypt_block(block), b.encrypt_block(block));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Key80([u8; 10]);
@@ -143,16 +135,6 @@ fn shift_row(rows: Rows) -> Rows {
         rows[1].rotate_left(1),
         rows[2].rotate_left(12),
         rows[3].rotate_left(13),
-    ]
-}
-
-#[inline(always)]
-fn shift_row_inv(rows: Rows) -> Rows {
-    [
-        rows[0],
-        rows[1].rotate_right(1),
-        rows[2].rotate_right(12),
-        rows[3].rotate_right(13),
     ]
 }
 
@@ -239,20 +221,6 @@ impl Rectangle {
         rows_to_block(add_round_key(rows, &self.round_keys[ROUNDS]))
     }
 
-    /// Decrypts one 64-bit block (the inverse of [`Rectangle::encrypt_block`]).
-    ///
-    /// Not used on SOFIA's data path — CTR and CBC-MAC only ever run the
-    /// forward permutation — but provided for API completeness and used by
-    /// the round-trip tests.
-    #[inline]
-    pub fn decrypt_block(&self, block: u64) -> u64 {
-        let mut rows = add_round_key(block_to_rows(block), &self.round_keys[ROUNDS]);
-        for rk in self.round_keys[..ROUNDS].iter().rev() {
-            rows = add_round_key(bitslice::sub_column_inv(shift_row_inv(rows)), rk);
-        }
-        rows_to_block(rows)
-    }
-
     /// Encrypts a batch of independent 64-bit blocks in place through the
     /// bitsliced engine ([`crate::bitslice`]) at the default
     /// [`LaneWidth`]: [`LaneWidth::lanes`] blocks are ciphered per pass,
@@ -268,17 +236,6 @@ impl Rectangle {
     /// width is bit-identical; the choice only moves host throughput.
     pub fn encrypt_blocks_with(&self, blocks: &mut [u64], width: LaneWidth) {
         crate::bitslice::encrypt_blocks(self, blocks, width);
-    }
-
-    /// Decrypts a batch of independent 64-bit blocks in place — the
-    /// inverse of [`Rectangle::encrypt_blocks`], same engine.
-    pub fn decrypt_blocks(&self, blocks: &mut [u64]) {
-        crate::bitslice::decrypt_blocks(self, blocks, LaneWidth::default());
-    }
-
-    /// [`Rectangle::decrypt_blocks`] at an explicit lane width.
-    pub fn decrypt_blocks_with(&self, blocks: &mut [u64], width: LaneWidth) {
-        crate::bitslice::decrypt_blocks(self, blocks, width);
     }
 }
 
@@ -299,9 +256,6 @@ mod tests {
         for &v in &SBOX {
             assert!(!seen[v as usize]);
             seen[v as usize] = true;
-        }
-        for (i, &v) in SBOX.iter().enumerate() {
-            assert_eq!(SBOX_INV[v as usize], i as u8);
         }
     }
 
@@ -324,12 +278,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn encrypt_decrypt_roundtrip(key in any::<u64>(), block in any::<u64>()) {
-            let cipher = Rectangle::new(&Key80::from_seed(key));
-            prop_assert_eq!(cipher.decrypt_block(cipher.encrypt_block(block)), block);
-        }
-
         #[test]
         fn different_keys_differ(block in any::<u64>()) {
             let a = Rectangle::new(&Key80::from_seed(1));
@@ -410,10 +358,10 @@ mod tests {
                     *e |= ((w >> r) & 1) << j;
                 }
             }
-            let state = bitslice::broadcast(&rows);
-            let sub = sub_column(state);
-            assert_eq!(sub, bitslice::broadcast(&expect));
-            assert_eq!(bitslice::sub_column_inv(sub), state);
+            assert_eq!(
+                sub_column(bitslice::broadcast(&rows)),
+                bitslice::broadcast(&expect)
+            );
         }
     }
 

@@ -1,10 +1,10 @@
 //! The bitsliced ≡ scalar equivalence suite. The oracle is [`oracle`],
-//! a nibble-at-a-time RECTANGLE-80 written here from the `SBOX` /
-//! `SBOX_INV` lookup tables, so it shares no code with the crate's
-//! boolean S-box circuits. The scalar path ([`Rectangle::encrypt_block`]) and every
-//! lane width are checked against it directly, including ragged batches
-//! sized to hit every tail pass. Every bulk API — block
-//! encrypt/decrypt, batched CTR keystream, lane-parallel CBC-MAC — must
+//! a nibble-at-a-time RECTANGLE-80 written here from the `SBOX` lookup
+//! table, so it shares no code with the crate's boolean S-box circuits.
+//! The scalar path ([`Rectangle::encrypt_block`]) and every lane width
+//! are checked against it directly, including ragged batches sized to
+//! hit every tail pass. Every bulk API — block encryption, batched CTR
+//! keystream, lane-parallel CBC-MAC — must
 //! then reproduce the scalar path bit for bit over random keys, random
 //! blocks and every lane-count shape (empty, sub-lane, exactly one
 //! pass, ragged multi-pass tails), at **every supported lane width**
@@ -17,17 +17,17 @@ use sofia_crypto::{ctr, mac, CounterBlock, Key80, KeySet, LaneWidth, Nonce, Rect
 
 /// RECTANGLE-80 one 4-bit column at a time through the S-box tables.
 mod oracle {
-    use sofia_crypto::{Key80, ROUNDS, SBOX, SBOX_INV};
+    use sofia_crypto::{Key80, ROUNDS, SBOX};
 
     /// A cipher instance: the 26 round keys.
     pub struct Oracle(Vec<[u16; 4]>);
 
     /// Substitutes the lowest `columns` columns of the 4×16 state.
-    fn sub_columns(rows: [u16; 4], sbox: &[u8; 16], columns: u32) -> [u16; 4] {
+    fn sub_columns(rows: [u16; 4], columns: u32) -> [u16; 4] {
         let mut out = rows;
         for j in 0..columns {
             let v = (0..4).fold(0, |v, r| v | ((rows[r] >> j) & 1) << r);
-            let w = u16::from(sbox[usize::from(v)]);
+            let w = u16::from(SBOX[usize::from(v)]);
             for (r, o) in out.iter_mut().enumerate() {
                 *o = (*o & !(1 << j)) | ((w >> r) & 1) << j;
             }
@@ -48,7 +48,7 @@ mod oracle {
             let mut keys = Vec::with_capacity(ROUNDS + 1);
             for _ in 0..ROUNDS {
                 keys.push([v[0], v[1], v[2], v[3]]);
-                let s = sub_columns([v[0], v[1], v[2], v[3]], &SBOX, 4);
+                let s = sub_columns([v[0], v[1], v[2], v[3]], 4);
                 v = [
                     s[0].rotate_left(8) ^ s[1] ^ rc,
                     s[2],
@@ -65,7 +65,7 @@ mod oracle {
         pub fn encrypt(&self, block: u64) -> u64 {
             let mut rows = std::array::from_fn(|r| (block >> (16 * r)) as u16);
             for rk in &self.0[..ROUNDS] {
-                let s = sub_columns(xor(rows, rk), &SBOX, 16);
+                let s = sub_columns(xor(rows, rk), 16);
                 rows = [
                     s[0],
                     s[1].rotate_left(1),
@@ -74,23 +74,6 @@ mod oracle {
                 ];
             }
             join(xor(rows, &self.0[ROUNDS]))
-        }
-
-        pub fn decrypt(&self, block: u64) -> u64 {
-            let mut rows = xor(
-                std::array::from_fn(|r| (block >> (16 * r)) as u16),
-                &self.0[ROUNDS],
-            );
-            for rk in self.0[..ROUNDS].iter().rev() {
-                let s = [
-                    rows[0],
-                    rows[1].rotate_right(1),
-                    rows[2].rotate_right(12),
-                    rows[3].rotate_right(13),
-                ];
-                rows = xor(sub_columns(s, &SBOX_INV, 16), rk);
-            }
-            join(rows)
         }
     }
 
@@ -110,14 +93,13 @@ fn any_width() -> impl Strategy<Value = LaneWidth> {
 fn oracle_meets_known_answers() {
     let zero = Oracle::new(&Key80::from_bytes([0; 10]));
     assert_eq!(zero.encrypt(0), 0x0874_e8b1_e354_2d96);
-    assert_eq!(zero.decrypt(0x0874_e8b1_e354_2d96), 0);
     let ones = Oracle::new(&Key80::from_bytes([0xFF; 10]));
     assert_eq!(ones.encrypt(u64::MAX), 0x0112_ae3d_aa34_9945);
 }
 
 /// Every lane width, on batch sizes that reach every tail pass size
 /// (1, 2, 4, 8 and 16 groups) as well as full passes, matches the
-/// oracle in both directions.
+/// oracle.
 #[test]
 fn every_width_matches_oracle_on_sized_tails() {
     for seed in [0x7A11u64, 0x5EED] {
@@ -127,27 +109,22 @@ fn every_width_matches_oracle_on_sized_tails() {
         for n in (1..=9).chain(15..=17).chain(31..=33) {
             let blocks: Vec<u64> = (0..n).map(|_| x.next_u64()).collect();
             let enc: Vec<u64> = blocks.iter().map(|&b| oracle.encrypt(b)).collect();
-            let dec: Vec<u64> = blocks.iter().map(|&b| oracle.decrypt(b)).collect();
             for width in LaneWidth::ALL {
                 let mut got = blocks.clone();
                 cipher.encrypt_blocks_with(&mut got, width);
-                assert_eq!(got, enc, "{width}, encrypt batch of {n}");
-                let mut got = blocks.clone();
-                cipher.decrypt_blocks_with(&mut got, width);
-                assert_eq!(got, dec, "{width}, decrypt batch of {n}");
+                assert_eq!(got, enc, "{width}, batch of {n}");
             }
         }
     }
 }
 
 proptest! {
-    /// The scalar cipher matches the oracle in both directions.
+    /// The scalar cipher matches the oracle.
     #[test]
     fn scalar_matches_oracle(key in any::<u64>(), block in any::<u64>()) {
         let cipher = Rectangle::new(&Key80::from_seed(key));
         let oracle = Oracle::new(&Key80::from_seed(key));
         prop_assert_eq!(cipher.encrypt_block(block), oracle.encrypt(block));
-        prop_assert_eq!(cipher.decrypt_block(block), oracle.decrypt(block));
     }
 
     /// Batch encryption over any lane count matches per-block scalar
@@ -162,22 +139,6 @@ proptest! {
         let mut got = blocks.clone();
         cipher.encrypt_blocks(&mut got);
         prop_assert_eq!(got, expect);
-    }
-
-    /// Batch decryption matches per-block scalar decryption and inverts
-    /// batch encryption.
-    #[test]
-    fn decrypt_blocks_matches_scalar(
-        key in any::<u64>(),
-        blocks in proptest::collection::vec(any::<u64>(), 0..70),
-    ) {
-        let cipher = Rectangle::new(&Key80::from_seed(key));
-        let expect: Vec<u64> = blocks.iter().map(|&b| cipher.decrypt_block(b)).collect();
-        let mut got = blocks.clone();
-        cipher.decrypt_blocks(&mut got);
-        prop_assert_eq!(&got, &expect);
-        cipher.encrypt_blocks(&mut got);
-        prop_assert_eq!(got, blocks);
     }
 
     /// The batched CTR keystream equals the per-counter scalar pads, for
@@ -247,37 +208,18 @@ proptest! {
     }
 
     /// Width sweep: batch encryption at every lane width matches the
-    /// scalar oracle, including ragged final passes, and decryption at a
-    /// *different* random width inverts it — so 16/32/64-lane outputs
-    /// are mutually bit-identical, not just oracle-identical.
+    /// scalar oracle, including ragged final passes — so 16/32/64-lane
+    /// outputs are mutually bit-identical, not just oracle-identical.
     #[test]
     fn encrypt_blocks_matches_scalar_at_every_width(
         key in any::<u64>(),
         blocks in proptest::collection::vec(any::<u64>(), 0..150),
-        inverse_width in any_width(),
     ) {
         let cipher = Rectangle::new(&Key80::from_seed(key));
         let expect: Vec<u64> = blocks.iter().map(|&b| cipher.encrypt_block(b)).collect();
         for width in LaneWidth::ALL {
             let mut got = blocks.clone();
             cipher.encrypt_blocks_with(&mut got, width);
-            prop_assert_eq!(&got, &expect);
-            cipher.decrypt_blocks_with(&mut got, inverse_width);
-            prop_assert_eq!(&got, &blocks);
-        }
-    }
-
-    /// Width sweep for decryption against the scalar oracle.
-    #[test]
-    fn decrypt_blocks_matches_scalar_at_every_width(
-        key in any::<u64>(),
-        blocks in proptest::collection::vec(any::<u64>(), 0..150),
-    ) {
-        let cipher = Rectangle::new(&Key80::from_seed(key));
-        let expect: Vec<u64> = blocks.iter().map(|&b| cipher.decrypt_block(b)).collect();
-        for width in LaneWidth::ALL {
-            let mut got = blocks.clone();
-            cipher.decrypt_blocks_with(&mut got, width);
             prop_assert_eq!(&got, &expect);
         }
     }

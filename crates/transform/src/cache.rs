@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sofia_crypto::{CryptoEngine, KeySet};
 use sofia_isa::asm;
@@ -157,13 +157,9 @@ impl ImageCache {
     /// now — a lock-and-peek that never waits on in-flight seals and
     /// never seals. Schedulers use it to tell warm lookups from the
     /// fresh transforms a seal-farm fault could strike.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock was poisoned by a panicking seal.
     pub fn contains(&self, key: &ImageKey) -> bool {
         let ImageKey(raw) = *key;
-        let state = self.inner.lock().expect("image cache poisoned");
+        let state = lock_clean(&self.inner);
         matches!(state.map.get(&raw), Some(Entry::Ready(_)))
     }
 
@@ -175,10 +171,6 @@ impl ImageCache {
     /// Returns [`SealError`] if the source does not parse or the
     /// transformer rejects it. Failures are not cached — a later retry
     /// re-attempts the installation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock was poisoned by a panicking seal.
     pub fn get_or_seal(&self, keys: &KeySet, source: &str) -> Result<Arc<SecureImage>, SealError> {
         self.get_or_seal_traced(keys, source)
             .map(|(image, _)| image)
@@ -192,10 +184,6 @@ impl ImageCache {
     ///
     /// Returns [`SealError`] if the source does not parse or the
     /// transformer rejects it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock was poisoned by a panicking seal.
     pub fn get_or_seal_traced(
         &self,
         keys: &KeySet,
@@ -203,7 +191,7 @@ impl ImageCache {
     ) -> Result<(Arc<SecureImage>, bool), SealError> {
         let ImageKey(key) = image_key(keys, source);
         // Claim the key (or wait for / reuse whoever already did).
-        let mut state = self.inner.lock().expect("image cache poisoned");
+        let mut state = lock_clean(&self.inner);
         loop {
             match state.map.get(&key) {
                 Some(Entry::Ready(image)) => {
@@ -214,7 +202,10 @@ impl ImageCache {
                 // Another worker is sealing exactly this program: wait
                 // for its image instead of duplicating the work.
                 Some(Entry::Sealing) => {
-                    state = self.sealed.wait(state).expect("image cache poisoned");
+                    state = self
+                        .sealed
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
                 None => {
                     state.map.insert(key, Entry::Sealing);
@@ -223,56 +214,37 @@ impl ImageCache {
             }
         }
         drop(state);
+        let mut claim = Claim {
+            cache: self,
+            key,
+            image: None,
+        };
 
         // Seal outside the lock: expensive installs for different
         // programs run in parallel, and cache hits never queue behind an
         // in-progress seal of something else.
-        let image = asm::parse(source)
-            .map_err(|e| SealError::Parse(e.to_string()))
-            .and_then(|module| {
-                Transformer::new(keys.clone())
-                    .with_format(self.format)
-                    .with_engine(self.engine())
-                    .transform(&module)
-                    .map(Arc::new)
-                    .map_err(SealError::Transform)
-            });
-
-        let mut state = self.inner.lock().expect("image cache poisoned");
-        match image {
-            Ok(image) => {
-                state.misses += 1;
-                // Publish unless the key was purged while sealing (a
-                // concurrent tenant eviction) — then the image is handed
-                // to this caller only and not cached.
-                if matches!(state.map.get(&key), Some(Entry::Sealing)) {
-                    state.map.insert(key, Entry::Ready(Arc::clone(&image)));
-                }
-                self.sealed.notify_all();
-                Ok((image, false))
-            }
-            Err(e) => {
-                // Failures are not cached; release the claim so a later
-                // (or concurrently waiting) caller can retry.
-                if matches!(state.map.get(&key), Some(Entry::Sealing)) {
-                    state.map.remove(&key);
-                }
-                self.sealed.notify_all();
-                Err(e)
-            }
+        #[cfg(test)]
+        if PANIC_NEXT_SEAL.with(|armed| armed.replace(false)) {
+            panic!("injected seal panic");
         }
+        let module = asm::parse(source).map_err(|e| SealError::Parse(e.to_string()))?;
+        let image = Transformer::new(keys.clone())
+            .with_format(self.format)
+            .with_engine(self.engine())
+            .transform(&module)
+            .map(Arc::new)
+            .map_err(SealError::Transform)?;
+        // Dropping the claim publishes the image and wakes the waiters.
+        claim.image = Some(Arc::clone(&image));
+        Ok((image, false))
     }
 
     /// Drops every image sealed under `keys` (tenant eviction), returning
     /// how many entries were removed. Outstanding `Arc`s keep their
     /// images alive; the cache just stops serving them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock was poisoned by a panicking seal.
     pub fn purge(&self, keys: &KeySet) -> usize {
         let fp = fingerprint_keys(keys);
-        let mut state = self.inner.lock().expect("image cache poisoned");
+        let mut state = lock_clean(&self.inner);
         let before = state.map.len();
         state.map.retain(|&(key_fp, _), _| key_fp != fp);
         // In-flight seals for the purged domain lost their claim: wake
@@ -283,12 +255,8 @@ impl ImageCache {
     }
 
     /// Current counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock was poisoned by a panicking seal.
     pub fn stats(&self) -> ImageCacheStats {
-        let state = self.inner.lock().expect("image cache poisoned");
+        let state = lock_clean(&self.inner);
         ImageCacheStats {
             hits: state.hits,
             misses: state.misses,
@@ -299,6 +267,47 @@ impl ImageCache {
                 .count(),
         }
     }
+}
+
+/// A worker's in-flight claim on one key: the [`Entry::Sealing`] marker
+/// it inserted. Dropping it settles the claim on every exit path, unwind
+/// included: a sealed image is published (unless a purge removed the
+/// marker meanwhile — then it goes to the sealer only), a failed or
+/// panicking seal removes the marker so a later request re-seals, and
+/// every waiter is woken either way.
+struct Claim<'a> {
+    cache: &'a ImageCache,
+    key: (u64, u64),
+    image: Option<Arc<SecureImage>>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut state = lock_clean(&self.cache.inner);
+        if self.image.is_some() {
+            state.misses += 1;
+        }
+        if matches!(state.map.get(&self.key), Some(Entry::Sealing)) {
+            match self.image.take() {
+                Some(image) => state.map.insert(self.key, Entry::Ready(image)),
+                None => state.map.remove(&self.key),
+            };
+        }
+        self.cache.sealed.notify_all();
+    }
+}
+
+/// Locks the cache state even if a thread panicked while holding the
+/// lock: every critical section leaves the map consistent (claims are
+/// settled by [`Claim`]), so a poisoned flag carries no information.
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test seam: makes this thread's next seal panic after claiming.
+    static PANIC_NEXT_SEAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 // Compile-time guarantee: sealed images and the cache cross worker-thread
@@ -445,6 +454,47 @@ mod tests {
             .unwrap();
         assert_eq!(scalar.ctext, bitsliced.ctext);
         assert_ne!(a.ctext, scalar.ctext, "key domains still isolated");
+    }
+
+    #[test]
+    fn a_panicking_seal_releases_its_claim() {
+        let cache = Arc::new(ImageCache::new());
+        let keys = KeySet::from_seed(0xDEAD);
+        let seal = |panic: bool| {
+            let (cache, keys) = (Arc::clone(&cache), keys.clone());
+            let (done, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                PANIC_NEXT_SEAL.with(|armed| armed.set(panic));
+                let _ = done.send(cache.get_or_seal(&keys, "main: halt").is_ok());
+            });
+            (rx.recv_timeout(std::time::Duration::from_secs(30)), worker)
+        };
+        let (answer, worker) = seal(true);
+        assert!(answer.is_err(), "the injected panic never answers");
+        assert!(worker.join().is_err(), "the sealer unwound");
+        // Its claim must not outlive it: the next request re-seals.
+        let (answer, worker) = seal(false);
+        assert_eq!(answer, Ok(true), "second request hung or failed");
+        worker.join().unwrap();
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_tolerated() {
+        let cache = ImageCache::new();
+        let keys = KeySet::from_seed(0xF00);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = cache.inner.lock().unwrap();
+            panic!("poison the cache lock");
+        }));
+        assert!(cache.inner.is_poisoned());
+        let key = image_key(&keys, "main: halt");
+        assert!(!cache.contains(&key));
+        cache.get_or_seal(&keys, "main: halt").unwrap();
+        assert!(cache.contains(&key));
+        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.purge(&keys), 1);
     }
 
     #[test]
