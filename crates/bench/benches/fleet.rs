@@ -8,7 +8,7 @@
 //! schedule model, jobs/sec at the Table I SOFIA clock), which are
 //! host-independent and reproduce bit-for-bit. The file is written on
 //! every invocation, including the smoke run `cargo test` performs, so
-//! the record can never go stale.
+//! the record can never go stale; a failed write panics.
 
 use criterion::{black_box, criterion_group, Criterion, Throughput};
 use sofia_bench::{
@@ -95,10 +95,10 @@ fn emit_bench_json() {
     let json = fleet_json(&rtc, &sliced, &wfq);
     // The workspace root, so the trajectory file sits next to CHANGES.md.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_fleet.json not written: {e}"),
+    if let Err(e) = std::fs::write(path, &json) {
+        panic!("{path} not written: {e}");
     }
+    println!("wrote {path}");
 }
 
 criterion_group!(benches, bench_fleet);

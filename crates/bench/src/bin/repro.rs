@@ -537,12 +537,9 @@ fn host_eval() {
         );
     }
     println!("  fleet host throughput (mix24, fuel-sliced):");
-    println!("    workers  pool      jobs/sec");
+    println!("    workers   jobs/sec");
     for p in &report.fleet {
-        println!(
-            "    {:>7}  {:<8} {:>9.2}",
-            p.workers, p.pool, p.jobs_per_sec
-        );
+        println!("    {:>7}  {:>9.2}", p.workers, p.jobs_per_sec);
     }
     println!("  (wall-clock, informational: scaling needs real cores; simulated-cycle");
     println!("   trajectories live in BENCH_vcache.json / BENCH_fleet.json)");

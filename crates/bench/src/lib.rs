@@ -265,7 +265,7 @@ pub fn vcache_rows_json(vcache: VCacheConfig, rows: &[VCacheRow]) -> String {
 /// a single-core CI box, where host wall-clock could never show scaling.
 #[derive(Clone, Debug)]
 pub struct FleetScalingPoint {
-    /// Worker count of pool and schedule model.
+    /// Worker count: the driver's host threads and lanes per tick.
     pub workers: usize,
     /// Jobs in the batch.
     pub jobs: usize,
@@ -1104,7 +1104,7 @@ pub fn write_backends_json(json: &str) {
 // **wall-clock**: how fast *this host* seals and simulates. They are
 // informational — no CI thresholds — but they are the first record of
 // wins that land on real silicon (the bitsliced cipher, the zero-copy
-// dispatch, the stealing pool) rather than in the simulated-cycle model,
+// dispatch, the seal farm) rather than in the simulated-cycle model,
 // which stays bit-for-bit untouched.
 // ---------------------------------------------------------------------
 
@@ -1216,8 +1216,6 @@ pub struct SealFarmPoint {
 pub struct FleetHostPoint {
     /// Worker threads.
     pub workers: usize,
-    /// Pool label (`shared` or `stealing`).
-    pub pool: String,
     /// Jobs in the batch.
     pub jobs: usize,
     /// Jobs per host wall-clock second.
@@ -1237,7 +1235,7 @@ pub struct HostReport {
     pub seal: SealRates,
     /// Cold-start seal-wave throughput per farm worker count.
     pub seal_farm: Vec<SealFarmPoint>,
-    /// Fleet batch throughput per (workers, pool) point.
+    /// Fleet batch throughput per worker count.
     pub fleet: Vec<FleetHostPoint>,
 }
 
@@ -1379,62 +1377,52 @@ pub fn host_seal_rates(reps: u32) -> SealRates {
 }
 
 /// Measures host wall-clock jobs/sec of the [`fleet_mix`] batch at each
-/// worker count, under the shared-queue and work-stealing pools
-/// (fuel-sliced mode — the discipline that actually contends on the
-/// queue), best of `reps` batches per point (each rep rebuilds the fleet
-/// and re-submits the mix; only `run_batch` is timed). Wall-clock
-/// scaling needs real cores; on a single-core host the points simply
-/// document that.
+/// worker count (fuel-sliced mode — the discipline that actually
+/// coordinates across lanes every tick), best of `reps` batches per
+/// point (each rep rebuilds the fleet and re-submits the mix; only
+/// `run_batch` is timed). Wall-clock scaling needs real cores; on a
+/// single-core host the points simply document that.
 ///
 /// # Panics
 ///
 /// Panics if any job of the mix fails to halt.
 pub fn host_fleet_points(workers_list: &[usize], reps: u32) -> Vec<FleetHostPoint> {
-    use sofia_fleet::{Fleet, FleetConfig, PoolMode, SchedMode};
-    let mut points = Vec::new();
-    for &workers in workers_list {
-        for (label, pool) in [
-            ("shared", PoolMode::SharedQueue),
-            ("stealing", PoolMode::WorkStealing),
-        ] {
+    use sofia_fleet::{Fleet, FleetConfig, SchedMode};
+    workers_list
+        .iter()
+        .map(|&workers| {
             let mut jobs = 0;
-            let secs = {
-                let mut best = f64::INFINITY;
-                for _ in 0..reps.max(1) {
-                    let mut fleet = Fleet::new(FleetConfig {
-                        workers,
-                        mode: SchedMode::FuelSliced {
-                            slice: FLEET_BENCH_SLICE,
-                        },
-                        pool,
-                        ..Default::default()
-                    });
-                    fleet_mix_tenants(&mut fleet);
-                    let specs = fleet_mix();
-                    jobs = specs.len();
-                    for spec in specs {
-                        fleet
-                            .submit(spec)
-                            .unwrap_or_else(|e| panic!("mix tenants are registered: {e:?}"));
-                    }
-                    let t = Instant::now();
-                    let records = fleet.run_batch();
-                    best = best.min(t.elapsed().as_secs_f64());
-                    for r in &records {
-                        assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
-                    }
+            let mut best = f64::INFINITY;
+            for _ in 0..reps.max(1) {
+                let mut fleet = Fleet::new(FleetConfig {
+                    workers,
+                    mode: SchedMode::FuelSliced {
+                        slice: FLEET_BENCH_SLICE,
+                    },
+                    ..Default::default()
+                });
+                fleet_mix_tenants(&mut fleet);
+                let specs = fleet_mix();
+                jobs = specs.len();
+                for spec in specs {
+                    fleet
+                        .submit(spec)
+                        .unwrap_or_else(|e| panic!("mix tenants are registered: {e:?}"));
                 }
-                best
-            };
-            points.push(FleetHostPoint {
+                let t = Instant::now();
+                let records = fleet.run_batch();
+                best = best.min(t.elapsed().as_secs_f64());
+                for r in &records {
+                    assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
+                }
+            }
+            FleetHostPoint {
                 workers,
-                pool: label.to_string(),
                 jobs,
-                jobs_per_sec: jobs as f64 / secs,
-            });
-        }
-    }
-    points
+                jobs_per_sec: jobs as f64 / best,
+            }
+        })
+        .collect()
 }
 
 /// Measures seals/sec of a cold-start wave — `tenants` distinct device
@@ -1640,9 +1628,8 @@ pub fn host_json(report: &HostReport) -> String {
     out.push_str("  \"fleet_host\": [\n");
     for (i, p) in report.fleet.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"workers\": {}, \"pool\": \"{}\", \"jobs\": {}, \"jobs_per_sec\": {:.2} }}{}\n",
+            "    {{ \"workers\": {}, \"jobs\": {}, \"jobs_per_sec\": {:.2} }}{}\n",
             p.workers,
-            p.pool,
             p.jobs,
             p.jobs_per_sec,
             if i + 1 == report.fleet.len() { "" } else { "," }
@@ -2405,12 +2392,17 @@ pub fn attacks_json(report: &AttacksReport) -> String {
 }
 
 /// Writes `BENCH_attacks.json` at the workspace root.
+///
+/// # Panics
+///
+/// Panics with the path and the error if the file cannot be written, so
+/// a run that could not record its sweep never exits 0.
 pub fn write_attacks_json(json: &str) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_attacks.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_attacks.json not written: {e}"),
+    if let Err(e) = std::fs::write(path, json) {
+        panic!("{path} not written: {e}");
     }
+    println!("wrote {path}");
 }
 
 #[cfg(test)]
@@ -2477,7 +2469,6 @@ mod tests {
             ],
             fleet: vec![FleetHostPoint {
                 workers: 4,
-                pool: "stealing".into(),
                 jobs: 24,
                 jobs_per_sec: 100.0,
             }],
@@ -2498,7 +2489,7 @@ mod tests {
             "\"seal_farm\"",
             "\"workers\": 4, \"images\": 16, \"seals_per_sec\": 150.00, \"speedup_vs_serial\": 3.00",
             "\"fleet_host\"",
-            "\"pool\": \"stealing\"",
+            "\"workers\": 4, \"jobs\": 24, \"jobs_per_sec\": 100.00 }",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

@@ -24,8 +24,8 @@
 //!
 //! The S-box circuit and the sub-lane rotations never look across row
 //! words, so nothing in the round ties `G` down — the pass is generic
-//! over the group count ([`LaneWidth`]: 16, 32 or 64 lanes per pass,
-//! still portable `u64` ops, no intrinsics). More groups in flight means
+//! over the group count ([`LaneWidth`]: 16 or 32 lanes per pass, still
+//! portable `u64` ops, no intrinsics). More groups in flight means
 //! more independent ALU work per round for the out-of-order core to
 //! overlap, until register pressure spills the state; which width wins
 //! is an empirical question the `host` bench answers per box, and
@@ -56,24 +56,21 @@ pub enum LaneWidth {
     /// fills every 16-bit sub-lane of a `u64` row word.
     W16,
     /// 32 blocks per pass (8 groups) — the measured default: twice the
-    /// independent work per round for the out-of-order core to overlap,
-    /// before 64 lanes' register pressure starts spilling.
+    /// independent work per round for the out-of-order core to overlap.
+    /// A 64-lane pass only tied this width within noise.
     #[default]
     W32,
-    /// 64 blocks per pass (16 groups).
-    W64,
 }
 
 impl LaneWidth {
     /// Every supported width, narrowest first.
-    pub const ALL: [LaneWidth; 3] = [LaneWidth::W16, LaneWidth::W32, LaneWidth::W64];
+    pub const ALL: [LaneWidth; 2] = [LaneWidth::W16, LaneWidth::W32];
 
     /// Independent 64-bit blocks ciphered per pass at this width.
     pub const fn lanes(self) -> usize {
         match self {
             LaneWidth::W16 => 16,
             LaneWidth::W32 => 32,
-            LaneWidth::W64 => 64,
         }
     }
 }
@@ -172,13 +169,12 @@ fn encrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
 /// One pass of `4·G` blocks in place, for a fixed group count `G`.
 type Pass = fn(&Rectangle, &mut [u64]);
 
-/// Passes at 1, 2, 4, 8 and 16 groups: entry `i` runs `2^i` groups.
-const ENCRYPT_PASSES: [Pass; 5] = [
+/// Passes at 1, 2, 4 and 8 groups: entry `i` runs `2^i` groups.
+const ENCRYPT_PASSES: [Pass; 4] = [
     encrypt_pass::<1>,
     encrypt_pass::<2>,
     encrypt_pass::<4>,
     encrypt_pass::<8>,
-    encrypt_pass::<16>,
 ];
 
 /// Encrypts `blocks` in place: full passes at `width`, then the ragged
@@ -196,7 +192,7 @@ pub(crate) fn encrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: Lane
     let rem = chunks.into_remainder();
     if !rem.is_empty() {
         let groups = rem.len().div_ceil(LANES_PER_WORD).next_power_of_two();
-        let mut buf = [0u64; 64];
+        let mut buf = [0u64; 32];
         buf[..rem.len()].copy_from_slice(rem);
         pass(groups)(cipher, &mut buf[..LANES_PER_WORD * groups]);
         rem.copy_from_slice(&buf[..rem.len()]);

@@ -208,7 +208,7 @@ proptest! {
     }
 
     /// Width sweep: batch encryption at every lane width matches the
-    /// scalar oracle, including ragged final passes — so 16/32/64-lane
+    /// scalar oracle, including ragged final passes — so 16- and 32-lane
     /// outputs are mutually bit-identical, not just oracle-identical.
     #[test]
     fn encrypt_blocks_matches_scalar_at_every_width(
@@ -296,10 +296,10 @@ proptest! {
     }
 }
 
-/// The ISSUE's cross-width framing, pinned directly: a 32-lane pass over
-/// 32 blocks equals two 16-lane passes over the halves (and the 64-lane
-/// pass equals all four quarters) — lane independence means width only
-/// changes how many blocks share a sweep, never any block's value.
+/// The cross-width framing, pinned directly: a 32-lane pass over 32
+/// blocks equals two 16-lane passes over the halves — lane independence
+/// means width only changes how many blocks share a sweep, never any
+/// block's value.
 #[test]
 fn wider_pass_equals_stacked_narrow_passes() {
     let cipher = Rectangle::new(&Key80::from_seed(0x57AC));
@@ -314,10 +314,7 @@ fn wider_pass_equals_stacked_narrow_passes() {
     for half in mid.chunks_mut(32) {
         cipher.encrypt_blocks_with(half, LaneWidth::W32);
     }
-    let mut wide = blocks.clone();
-    cipher.encrypt_blocks_with(&mut wide, LaneWidth::W64);
     assert_eq!(mid, narrow, "one 32-lane pass == two 16-lane passes");
-    assert_eq!(wide, narrow, "one 64-lane pass == four 16-lane passes");
 }
 
 /// The keyset-level sanity check: all three expanded ciphers drive the

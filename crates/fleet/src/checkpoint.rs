@@ -27,9 +27,10 @@ use crate::job::{Sabotage, TenantId};
 /// Container magic for serialised job checkpoints.
 const MAGIC: &[u8] = b"SOFJ1\0";
 
-/// A suspended job, packaged by [`crate::Fleet::checkpoint_job`] for
-/// [`crate::Fleet::adopt_job`] in another fleet (possibly another
-/// process or host — see [`JobCheckpoint::to_bytes`]).
+/// A suspended job, packaged by [`crate::AsyncFleet::checkpoint_job`]
+/// for [`crate::AsyncFleet::adopt_job`] in another driver (possibly
+/// another process or host — see [`JobCheckpoint::to_bytes`]). The
+/// batch [`crate::Fleet`] delegates both.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobCheckpoint {
     /// The owning tenant (must be registered, with the same device
@@ -52,9 +53,9 @@ pub struct JobCheckpoint {
     pub prior: Option<(Vec<Violation>, SofiaStats)>,
     /// Scheduler quanta served so far.
     pub slices: u32,
-    /// Simulated cycles per quantum served so far (the virtual-time
-    /// schedule input — travels so fleet accounting stays
-    /// work-conserving across the migration).
+    /// Simulated cycles per quantum served so far. Travels so the
+    /// finished record covers the whole job; the adopting driver prices
+    /// only the quanta it serves.
     pub slice_cycles: Vec<u64>,
     /// The suspended machine, if the job ran at least one quantum
     /// (`None` means the job was checkpointed before first service and
@@ -197,7 +198,7 @@ impl JobCheckpoint {
     }
 }
 
-/// Why [`crate::Fleet::adopt_job`] refused a checkpoint.
+/// Why [`crate::AsyncFleet::adopt_job`] refused a checkpoint.
 #[derive(Clone, Debug)]
 pub enum AdoptError {
     /// The tenant cannot be served here (unknown, quarantined, or

@@ -1,11 +1,10 @@
-//! The opt-in async driver: thousands of tenant jobs multiplexed over a
-//! few OS threads.
+//! The fleet driver: thousands of tenant jobs multiplexed over a few OS
+//! threads.
 //!
-//! The batch [`crate::Fleet`] keeps every queued job's machine live and
-//! spins one pool per batch — fine for hundreds of jobs, wrong for the
-//! ROADMAP's "millions of users" shape where tenants are mostly idle.
-//! [`AsyncFleet`] is a hand-rolled executor (no external runtime) built
-//! on three existing seams:
+//! [`AsyncFleet`] is the one fleet driver; the batch [`crate::Fleet`] is
+//! a thin facade over it (one class, unbounded admission, no parking).
+//! It is a hand-rolled executor (no external runtime) with one
+//! persistent thread pool, built on three existing seams:
 //!
 //! * **Yield point** — the engine's fuel-slice seam
 //!   ([`sofia_core::SofiaMachine::run_slice`] / cooperative preemption
@@ -18,10 +17,14 @@
 //!   execution (pinned by the snapshot differential suite), so parking
 //!   is invisible to results — it only trades revive latency for
 //!   resident memory.
-//! * **Virtual time** — ticks are priced exactly like the batch model
-//!   (tick cost = max quantum cost among the lanes served, see
-//!   [`crate::schedule`]), so p50/p99 sojourn per class is a
-//!   deterministic, host-independent number.
+//! * **Virtual time** — the virtual clock is driven entirely by the
+//!   recorded per-quantum simulated cycle costs, which the determinism
+//!   invariant fixes for any thread count: each tick serves up to
+//!   `workers` lanes in lock-step, like a barrier-synchronous
+//!   accelerator dispatch, and costs the **maximum** quantum cost among
+//!   them. Quanta are priced as they are served, so p50/p99 sojourn per
+//!   class, and a batch's makespan, are deterministic, host-independent
+//!   numbers.
 //!
 //! ## Scheduling
 //!
@@ -55,6 +58,7 @@ use sofia_transform::cache::{image_key, ImageCache, ImageKey};
 
 use crate::admission::{AdmissionConfig, AdmitError, ClassId, Rejection};
 use crate::chaos::{ChaosPlan, InjectedFault, Seam};
+use crate::checkpoint::{AdoptError, JobCheckpoint};
 use crate::fleet::{
     catch_quantum, finish, lock_clean, needs_containment, restore_against, FleetConfig, FleetError,
     JobRun, SchedMode,
@@ -124,7 +128,8 @@ pub struct AsyncStats {
     /// Sum of tick costs so far — the virtual clock, in simulated
     /// cycles.
     pub makespan_cycles: u64,
-    /// Jobs admitted (immediately or at their arrival tick).
+    /// Jobs admitted (immediately or at their arrival tick) or adopted
+    /// from another driver.
     pub admitted: u64,
     /// Jobs that finished with a record.
     pub finished: u64,
@@ -228,14 +233,13 @@ fn revive(run: &mut JobRun, bytes: &[u8]) -> Result<(), String> {
 /// inline when `threads == 1`).
 fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> LaneResult {
     let run = &mut task.pending.run;
-    run.quanta_this_batch = 0;
     let mut revived = false;
     if let Some(bytes) = task.pending.parked.take() {
         match revive(run, &bytes) {
             Ok(()) => revived = true,
             Err(msg) => {
                 // Mirror a seal failure's accounting: one zero-cost
-                // quantum so the schedule model still prices the tick.
+                // quantum, so the tick is still priced.
                 run.slices += 1;
                 run.slice_cycles.push(0);
                 let record = finish(run, JobOutcome::RevivalFailed(msg));
@@ -272,7 +276,7 @@ fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> Lan
             ))
         }
         // An injected stall: the quantum runs normally, then its lane
-        // cost is taxed in *virtual* cycles, so the schedule model (and
+        // cost is taxed in *virtual* cycles, so the virtual clock (and
         // every sojourn derived from it) prices the slow host. The
         // machine's own simulated cycles are untouched — a stall is
         // scheduler time, not device work.
@@ -430,12 +434,12 @@ fn worker_loop(shared: &PoolShared) {
 // The driver.
 // ---------------------------------------------------------------------
 
-/// The async multi-tenant driver. See the [module docs](self) for the
-/// architecture; the API shape mirrors the batch [`crate::Fleet`]
-/// (register, submit, drive, drain) with two async additions: a virtual
-/// clock ([`AsyncFleet::tick`] / [`AsyncFleet::now`]) and scheduled
-/// arrivals with deferred typed rejection ([`AsyncFleet::submit_at`] /
-/// [`AsyncFleet::drain_rejected`]).
+/// The multi-tenant fleet driver. See the [module docs](self) for the
+/// architecture: register, submit, drive, drain, with a virtual clock
+/// ([`AsyncFleet::tick`] / [`AsyncFleet::now`]), scheduled arrivals
+/// with deferred typed rejection ([`AsyncFleet::submit_at`] /
+/// [`AsyncFleet::drain_rejected`]), and job migration between drivers
+/// ([`AsyncFleet::checkpoint_job`] / [`AsyncFleet::adopt_job`]).
 ///
 /// # Examples
 ///
@@ -467,9 +471,7 @@ fn worker_loop(shared: &PoolShared) {
 /// ```
 pub struct AsyncFleet {
     config: AsyncConfig,
-    /// The per-quantum configuration shared verbatim with the batch
-    /// fleet's quantum loop — the seam that makes per-job execution
-    /// bit-identical across the two drivers.
+    /// The per-quantum configuration every lane runs under.
     fleet_config: FleetConfig,
     cache: Arc<ImageCache>,
     /// Lazily spawned on the first multi-threaded dispatch.
@@ -490,6 +492,11 @@ pub struct AsyncFleet {
     /// The recovery state machine: retry ledgers, breaker window,
     /// degradation rungs, the typed event log.
     res: ResilienceState,
+    /// Jobs [`AsyncFleet::run_batch_capped`] held back at their quantum
+    /// cap, in hold order; the next capped batch re-admits them.
+    held: Vec<Pending>,
+    /// The per-job quantum cap of the batch being driven, if any.
+    quantum_cap: Option<u32>,
 }
 
 impl AsyncFleet {
@@ -500,7 +507,6 @@ impl AsyncFleet {
             mode: config.mode,
             quarantine: config.quarantine,
             sofia: config.sofia,
-            ..FleetConfig::default()
         };
         let chaos = config.chaos.clone();
         let res = ResilienceState::new(config.resilience.clone());
@@ -519,6 +525,8 @@ impl AsyncFleet {
             stats: AsyncStats::default(),
             chaos,
             res,
+            held: Vec::new(),
+            quantum_cap: None,
         }
     }
 
@@ -546,10 +554,7 @@ impl AsyncFleet {
                 outstanding_fuel: 0,
             },
         );
-        self.classes.entry(class.0).or_insert_with(|| ClassState {
-            vservice: 0,
-            queue: VecDeque::new(),
-        });
+        self.class_state(class);
         Ok(())
     }
 
@@ -650,8 +655,7 @@ impl AsyncFleet {
         self.res.note_fault(now, seam, job, tenant);
     }
 
-    /// Per-tenant roll-ups, keyed by raw tenant id (same shape as the
-    /// batch fleet's).
+    /// Per-tenant roll-ups, keyed by raw tenant id.
     pub fn tenant_stats(&self) -> BTreeMap<u32, TenantStats> {
         self.tenants.iter().map(|(id, t)| (*id, t.stats)).collect()
     }
@@ -697,6 +701,167 @@ impl AsyncFleet {
             finished += self.tick();
         }
         finished
+    }
+
+    /// Drives one capped batch: re-admits the jobs the previous capped
+    /// batch held (in id order, ahead of everything queued since, arriving
+    /// now), then drives ticks until idle with every job limited to
+    /// `max_quanta` (clamped to ≥ 1) quanta counted from now. A job
+    /// still runnable at its cap is held — machine intact, between
+    /// blocks — for the next call or for [`AsyncFleet::checkpoint_job`].
+    pub(crate) fn run_batch_capped(&mut self, max_quanta: u32) {
+        let mut held = std::mem::take(&mut self.held);
+        held.sort_by_key(|p| p.run.id);
+        let (now, clock) = (self.now, self.stats.makespan_cycles);
+        for mut pending in held.into_iter().rev() {
+            pending.arrival_tick = now;
+            pending.arrival_cycles = clock;
+            pending.start_tick = None;
+            self.class_state(pending.class).queue.push_front(pending);
+        }
+        for pending in self.classes.values_mut().flat_map(|c| c.queue.iter_mut()) {
+            pending.run.quanta_this_batch = 0;
+        }
+        self.quantum_cap = Some(max_quanta.max(1));
+        self.run_until_idle();
+        self.quantum_cap = None;
+    }
+
+    /// Ids of every queued job: held jobs in id order, then each class
+    /// queue in service order.
+    pub(crate) fn queued_ids(&self) -> Vec<JobId> {
+        let mut ids: Vec<JobId> = self.held.iter().map(|p| p.run.id).collect();
+        ids.sort();
+        ids.extend(
+            self.classes
+                .values()
+                .flat_map(|c| c.queue.iter().map(|p| p.run.id)),
+        );
+        ids
+    }
+
+    /// Removes a queued job — waiting, parked, or held by a capped batch
+    /// — and packages everything another driver needs to finish it: the
+    /// spec (tenant, source, fuel, sabotage), the accumulated scheduling
+    /// history, and — if the job has already run — the suspended machine
+    /// as a [`MachineSnapshot`] (a parked job's `SOFS1` bytes are
+    /// decoded). The ciphertext stays behind: the adopting driver
+    /// re-seals the source from its tenant's [`KeySet`] through its own
+    /// image cache, and the image MACs cover the code in transit.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::UnknownJob`] if `id` is not queued (it finished,
+    /// was already checkpointed, has not arrived yet, or never existed).
+    /// A parked job whose snapshot bytes no longer decode is refused the
+    /// same way and stays queued: its next quantum finishes it as the
+    /// typed [`JobOutcome::RevivalFailed`].
+    pub fn checkpoint_job(&mut self, id: JobId) -> Result<JobCheckpoint, FleetError> {
+        let unknown = FleetError::UnknownJob(id);
+        let queued = self
+            .held
+            .iter()
+            .chain(self.classes.values().flat_map(|c| c.queue.iter()))
+            .find(|p| p.run.id == id)
+            .ok_or(unknown)?;
+        let machine = match (&queued.run.machine, &queued.parked) {
+            (Some(m), _) => Some(m.snapshot(queued.run.remaining)),
+            (None, Some(bytes)) => Some(MachineSnapshot::from_bytes(bytes).map_err(|_| unknown)?),
+            (None, None) => None,
+        };
+        let pending = match self.held.iter().position(|p| p.run.id == id) {
+            Some(i) => self.held.remove(i),
+            None => self
+                .classes
+                .values_mut()
+                .find_map(|c| {
+                    let i = c.queue.iter().position(|p| p.run.id == id)?;
+                    c.queue.remove(i)
+                })
+                .ok_or(unknown)?,
+        };
+        let run = pending.run;
+        if let Some(t) = self.tenants.get_mut(&run.spec.tenant.0) {
+            t.outstanding_fuel = t.outstanding_fuel.saturating_sub(run.spec.fuel);
+        }
+        self.res.finish_job(id);
+        Ok(JobCheckpoint {
+            tenant: run.spec.tenant,
+            source: run.spec.source,
+            fuel: run.spec.fuel,
+            sabotage: run.spec.sabotage,
+            remaining: run.remaining,
+            retried: run.retried,
+            prior: run.prior,
+            slices: run.slices,
+            slice_cycles: run.slice_cycles,
+            machine,
+        })
+    }
+
+    /// Adopts a job checkpointed out of another driver: re-seals the
+    /// tenant's program through this driver's [`ImageCache`] (the tenant
+    /// must be registered here with the same device keys for the resumed
+    /// edge to verify), restores the suspended machine against the
+    /// freshly sealed image, and queues the job in the tenant's class,
+    /// arriving now. Returns the job's id in *this* driver.
+    ///
+    /// Adoption moves work that was admitted at its origin, so only the
+    /// tenant registry gates it, not the queue caps or fuel quotas. Only
+    /// the quanta this driver serves are priced on its clock; the
+    /// checkpoint's history rides along in the record.
+    ///
+    /// Restoration re-verifies every warm verified-block-cache line
+    /// against the re-sealed image, so a checkpoint cannot smuggle
+    /// unverified plaintext between drivers; a tampered resume point is
+    /// caught by edge verification on the job's first resumed fetch.
+    ///
+    /// # Errors
+    ///
+    /// [`AdoptError`]: unknown/quarantined/evicted tenant, seal failure,
+    /// or a snapshot that fails restoration.
+    pub fn adopt_job(&mut self, ckpt: JobCheckpoint) -> Result<JobId, AdoptError> {
+        let Some(tenant) = self.tenants.get_mut(&ckpt.tenant.0) else {
+            return Err(AdoptError::Fleet(FleetError::UnknownTenant(ckpt.tenant)));
+        };
+        match tenant.state {
+            TenantState::Active => {}
+            TenantState::Suspended => {
+                return Err(AdoptError::Fleet(FleetError::Quarantined(ckpt.tenant)))
+            }
+            TenantState::Evicted => {
+                return Err(AdoptError::Fleet(FleetError::Evicted(ckpt.tenant)))
+            }
+        }
+        let id = JobId(self.next_job);
+        let spec = JobSpec {
+            tenant: ckpt.tenant,
+            source: ckpt.source,
+            fuel: ckpt.fuel,
+            sabotage: ckpt.sabotage,
+        };
+        let mut run = JobRun::new(id, tenant.keys.clone(), spec);
+        if let Some(snap) = &ckpt.machine {
+            let (image, hit) = self
+                .cache
+                .get_or_seal_traced(&run.keys, &run.spec.source)
+                .map_err(AdoptError::Seal)?;
+            let machine = restore_against(&image, &run.keys, snap, run.spec.sabotage)
+                .map_err(AdoptError::Restore)?;
+            run.image = Some(image);
+            run.machine = Some(machine);
+            run.seal_cache_hit = hit;
+        }
+        run.remaining = ckpt.remaining;
+        run.retried = ckpt.retried;
+        run.prior = ckpt.prior;
+        run.slices = ckpt.slices;
+        run.slice_cycles = ckpt.slice_cycles;
+        tenant.outstanding_fuel = tenant.outstanding_fuel.saturating_add(run.spec.fuel);
+        let class = tenant.class;
+        self.enqueue(run, class);
+        self.next_job += 1;
+        Ok(id)
     }
 
     /// Drives one virtual tick: run the resilience pass (breaker
@@ -892,8 +1057,13 @@ impl AsyncFleet {
             });
         }
         tenant.outstanding_fuel += spec.fuel;
-        let keys = tenant.keys.clone();
-        let mut run = JobRun::new(0, job, keys, spec);
+        let run = JobRun::new(job, tenant.keys.clone(), spec);
+        self.enqueue(run, class);
+        Ok(())
+    }
+
+    /// Queues an admitted run at the back of `class`, arriving now.
+    fn enqueue(&mut self, mut run: JobRun, class: ClassId) {
         if self.res.vcache_degraded(run.spec.tenant) {
             // Degradation rung: this tenant's snapshots kept failing
             // revival, so its machines run vcache-off — less parked
@@ -903,20 +1073,15 @@ impl AsyncFleet {
             sofia.vcache.enabled = false;
             run.sofia_override = Some(sofia);
         }
-        let arrival_cycles = self.stats.makespan_cycles;
+        let (arrival_tick, arrival_cycles) = (self.now, self.stats.makespan_cycles);
         let floor = self.backlog_vservice_floor();
-        let Some(state) = self.classes.get_mut(&class.0) else {
-            // `register_tenant` creates the class entry; its absence is
-            // a driver bug, but never worth a panic at admission.
-            debug_assert!(false, "missing class state for {class}");
-            return Err(AdmitError::UnknownTenant(run.spec.tenant));
-        };
+        let weight = self.config.admission.class(class).weight.max(1);
+        let state = self.class_state(class);
         if state.queue.is_empty() {
             // WFQ catch-up: a class going idle must not bank unbounded
             // credit against classes that kept working. On re-backlog
             // its virtual service jumps forward to the working floor.
             if let Some(floor) = floor {
-                let weight = budget.weight.max(1);
                 state.vservice = state.vservice.max(floor.saturating_mul(weight));
             }
         }
@@ -924,13 +1089,21 @@ impl AsyncFleet {
             run,
             parked: None,
             class,
-            arrival_tick: self.now,
+            arrival_tick,
             arrival_cycles,
             start_tick: None,
             idle_ticks: 0,
         });
         self.stats.admitted += 1;
-        Ok(())
+    }
+
+    /// The WFQ state of `class` (created empty on first use;
+    /// [`AsyncFleet::register_tenant`] creates it for every tenant).
+    fn class_state(&mut self, class: ClassId) -> &mut ClassState {
+        self.classes.entry(class.0).or_insert_with(|| ClassState {
+            vservice: 0,
+            queue: VecDeque::new(),
+        })
     }
 
     /// Minimum weighted virtual service (`vservice / weight`) among the
@@ -1027,9 +1200,9 @@ impl AsyncFleet {
 
     /// Runs the selected lanes' quanta: pre-seals the wave's distinct
     /// cold images through the [`SealFarm`] (deterministic attribution,
-    /// claimed in lane order — exactly the batch fleet's farm protocol),
-    /// then executes each lane on the host pool. Results come back in
-    /// lane order regardless of thread interleaving.
+    /// claimed in lane order), then executes each lane on the host pool.
+    /// Results come back in lane order regardless of thread
+    /// interleaving.
     fn execute(&mut self, mut lanes: Vec<LaneTask>) -> Vec<LaneResult> {
         if lanes.is_empty() {
             return Vec::new();
@@ -1058,13 +1231,13 @@ impl AsyncFleet {
         }
     }
 
-    /// Farm-seals the wave's distinct cold images before dispatch, with
-    /// the batch fleet's claim protocol: the first lane of each freshly
-    /// sealed image adopts it (fresh/shared verdict as its attribution);
-    /// duplicates and failures fall through to the job path, which the
-    /// farm just made warm (or which fails identically — seals are
-    /// deterministic). This keeps `seal_cache_hit` a lane-order
-    /// function, independent of thread timing.
+    /// Farm-seals the wave's distinct cold images before dispatch: the
+    /// first lane of each freshly sealed image adopts it (fresh/shared
+    /// verdict as its attribution); duplicates and failures fall
+    /// through to the job path, which the farm just made warm (or which
+    /// fails identically — seals are deterministic). This keeps
+    /// `seal_cache_hit` a lane-order function, independent of thread
+    /// timing.
     fn preseal_wave(&mut self, lanes: &mut [LaneTask]) {
         let requests: Vec<(&KeySet, &str)> = lanes
             .iter()
@@ -1105,10 +1278,11 @@ impl AsyncFleet {
 
     /// Prices the tick and folds its lane results, in lane order:
     /// finished records gain their arrival/sojourn fields and fold into
-    /// stats + quarantine; preempted runs re-queue FIFO in their class.
+    /// stats + quarantine; preempted runs re-queue FIFO in their class,
+    /// or are held if a capped batch's quantum cap is reached.
     fn settle(&mut self, now: u64, results: Vec<LaneResult>) -> usize {
         // Tick cost: max quantum cost among the served lanes — the
-        // barrier-synchronous pricing rule of `crate::schedule`.
+        // barrier-synchronous pricing rule (see the module docs).
         let lane_cost = |r: &LaneResult| match &r.record {
             Some(record) => record.slice_cycles.last().copied().unwrap_or(0),
             None => r.pending.run.slice_cycles.last().copied().unwrap_or(0),
@@ -1213,13 +1387,13 @@ impl AsyncFleet {
                     self.finished.push(record);
                     finished += 1;
                 }
-                None => {
-                    if let Some(state) = self.classes.get_mut(&pending.class.0) {
-                        state.queue.push_back(pending);
-                    } else {
-                        debug_assert!(false, "missing class state for {}", pending.class);
-                    }
+                None if self
+                    .quantum_cap
+                    .is_some_and(|cap| pending.run.quanta_this_batch >= cap) =>
+                {
+                    self.held.push(pending);
                 }
+                None => self.class_state(pending.class).queue.push_back(pending),
             }
         }
         self.stats.finished += finished as u64;
@@ -1227,10 +1401,10 @@ impl AsyncFleet {
     }
 
     /// Stats + quarantine fold for one finished record (deterministic:
-    /// called in tick order, lane order). Containment matches the batch
-    /// fleet's contract: jobs already admitted still run — their results
-    /// stay bit-identical to serial execution — and only *future*
-    /// admission is refused, with the typed [`AdmitError`].
+    /// called in tick order, lane order). Containment is an admission
+    /// decision: jobs already admitted still run — their results stay
+    /// bit-identical to serial execution — and only *future* admission
+    /// is refused, with the typed [`AdmitError`].
     fn fold_finished(&mut self, record: &JobRecord, fuel: u64) {
         let Some(tenant) = self.tenants.get_mut(&record.tenant.0) else {
             debug_assert!(false, "record for unregistered {}", record.tenant);
@@ -1252,10 +1426,10 @@ impl AsyncFleet {
         if fold.purge {
             // Re-purge on *every* evicted-tenant record: jobs admitted
             // before the eviction keep running (their results stay
-            // bit-identical to the batch driver's), and any of them can
+            // bit-identical to serial execution), and any of them can
             // re-seal the tenant's image into the shared cache after the
-            // eviction-time purge. One purge per fold keeps the cache
-            // state identical to the batch fleet's end-of-batch fold.
+            // eviction-time purge. Without this, a stale image of an
+            // evicted tenant would outlive the fold.
             self.cache.purge(&tenant.keys);
         }
     }

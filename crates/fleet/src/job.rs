@@ -145,8 +145,8 @@ impl JobOutcome {
 /// `outcome`, `out_words` and `violations` are the determinism-invariant
 /// surface: for a fixed job set and configuration they are bit-identical
 /// at every worker count, in both scheduling modes, and equal to serial
-/// single-machine execution. The tick fields come from the deterministic
-/// virtual-time schedule model (see [`crate::schedule`]).
+/// single-machine execution. The tick fields come from the driver's
+/// deterministic virtual clock (see [`crate::AsyncFleet`]).
 #[derive(Clone, Debug)]
 pub struct JobRecord {
     /// The job.
@@ -162,7 +162,7 @@ pub struct JobRecord {
     pub violations: Vec<Violation>,
     /// All machine work the job did — the first run plus the
     /// reboot-retry (if the quarantine policy retried), merged. This is
-    /// what the virtual-time schedule prices, so fleet totals stay
+    /// what the virtual clock prices, so fleet totals stay
     /// work-conserving. `out_words` are the final device run's MMIO log
     /// (a reboot-retry is a fresh device).
     pub stats: SofiaStats,
@@ -174,7 +174,8 @@ pub struct JobRecord {
     /// Scheduler quanta the job consumed (1 under run-to-completion).
     pub slices: u32,
     /// Simulated cycles per scheduler quantum, in order — the cost input
-    /// of the virtual-time schedule model.
+    /// of the virtual clock. A migrated job's list includes the quanta
+    /// it was served before the migration.
     pub slice_cycles: Vec<u64>,
     /// Scheduler tick at which the job first ran.
     pub start_tick: u64,

@@ -11,19 +11,21 @@
 //!   [`sofia_transform::cache::ImageCache`] under those keys, so two
 //!   tenants submitting the same program still run *different*
 //!   ciphertexts — key isolation is structural.
-//! * **Jobs** (tenant + program + fuel budget) run across a
-//!   `std::thread` worker pool, either run-to-completion or
-//!   **fuel-sliced**: preemptive round-robin built on the engine's
-//!   metered fuel seam ([`sofia_cpu::engine::Pipeline::run_metered`]),
-//!   suspending jobs between blocks on the fetch unit's edge registers
+//! * **Jobs** (tenant + program + fuel budget) run either
+//!   run-to-completion or **fuel-sliced**: preemptive round-robin built
+//!   on the engine's metered fuel seam
+//!   ([`sofia_cpu::engine::Pipeline::run_metered`]), suspending jobs
+//!   between blocks on the fetch unit's edge registers
 //!   ([`sofia_core::ResumeEdge`]) so a long ADPCM job cannot starve
 //!   short ones.
-//! * **Async serving**: the opt-in [`AsyncFleet`] driver multiplexes
-//!   thousands of tenants over a few OS threads — weighted fair
+//! * **One driver**: [`AsyncFleet`] multiplexes thousands of tenants
+//!   over one persistent pool of a few OS threads — weighted fair
 //!   queueing across service classes ([`admission`]), typed
 //!   admission-control backpressure, cold jobs parked to `SOFS1`
-//!   snapshot bytes — with results bit-identical to serial execution
-//!   at any thread count.
+//!   snapshot bytes, jobs migrated between drivers as `SOFJ1`
+//!   checkpoints — with results bit-identical to serial execution at
+//!   any thread count. The batch [`Fleet`] is a thin facade over it:
+//!   submit, then run the queue to empty.
 //! * **Quarantine**: a violation (MAC mismatch, forged edge) contains
 //!   exactly one tenant per the configured [`QuarantinePolicy`] —
 //!   suspend, retry-with-reboot, or evict — while the rest of the fleet
@@ -31,7 +33,7 @@
 //! * **Statistics** roll up per tenant from the existing
 //!   [`sofia_core::SofiaStats`]: cycles, vcache hit rates, violations,
 //!   seal-cache hits, queue latency in deterministic scheduler ticks
-//!   (see [`schedule`]).
+//!   (priced on the driver's virtual clock, see [`AsyncFleet`]).
 //!
 //! The load-bearing invariant, pinned by the workspace `fleet` test
 //! suites: for any job set, fleet execution at **any worker count** and
@@ -88,7 +90,6 @@ mod fleet;
 mod job;
 mod quarantine;
 pub mod resilience;
-pub mod schedule;
 mod seal_farm;
 mod stats;
 
@@ -96,7 +97,7 @@ pub use admission::{AdmissionConfig, AdmitError, ClassConfig, ClassId, Rejection
 pub use chaos::{ChaosPlan, FaultRate, Seam};
 pub use checkpoint::{AdoptError, JobCheckpoint};
 pub use executor::{AsyncConfig, AsyncFleet, AsyncStats};
-pub use fleet::{Fleet, FleetConfig, FleetError, PoolMode, SchedMode, SealMode};
+pub use fleet::{Fleet, FleetConfig, FleetError, SchedMode};
 pub use job::{JobId, JobOutcome, JobRecord, JobSpec, Sabotage, TenantId};
 pub use quarantine::{QuarantinePolicy, TenantState};
 pub use resilience::{

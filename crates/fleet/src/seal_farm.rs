@@ -10,18 +10,18 @@
 //! wave into a queue.
 //!
 //! The farm instead shards the *distinct* seal requests of a wave
-//! across its own work-stealing pool:
+//! across a scoped set of worker threads:
 //!
 //! * **Single-flight by construction** — requests are deduplicated on
 //!   their [`ImageKey`] before distribution, so N concurrent requests
 //!   for one image become exactly one seal task whose `Arc` every
 //!   waiter shares (the cache's own in-progress marker still guards
 //!   against seals racing in from outside the farm);
-//! * **Work stealing** — tasks are dealt round-robin onto per-worker
-//!   deques; a worker serves its own front and steals a sibling's back
-//!   only when dry. Seal tasks never re-queue, so emptiness is
-//!   monotone and workers simply exit when every deque drains — no
-//!   parking protocol needed;
+//! * **One claim cursor** — workers claim tasks by index off a single
+//!   shared atomic counter over the deduplicated list, the scheme the
+//!   async driver's pool dispatches lanes with. Seal tasks never
+//!   re-queue, so a worker whose claim runs past the end simply exits —
+//!   no per-worker deques and no parking protocol;
 //! * **Cache-mediated** — every seal goes through
 //!   [`ImageCache::get_or_seal_traced`], so farm-sealed images land in
 //!   the shared cache with normal hit/miss accounting, and later
@@ -31,9 +31,9 @@
 //! cache's own policy): a failed request re-attempts — and fails
 //! identically, seals are deterministic — wherever it is retried.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::fleet::{into_clean, lock_clean};
@@ -61,8 +61,6 @@ pub struct SealWave {
     pub requests: usize,
     /// Distinct images the wave actually needed (`verdicts.len()`).
     pub distinct: usize,
-    /// Cross-deque steals the farm's pool performed.
-    pub steals: u64,
 }
 
 /// A parallel sealer over a shared [`ImageCache`].
@@ -155,47 +153,20 @@ impl<'a> SealFarm<'a> {
                 verdicts: tasks.into_iter().filter_map(seal_one).collect(),
                 requests: total,
                 distinct,
-                steals: 0,
             };
         }
 
-        // Work-stealing pool: deal tasks round-robin, serve own front,
-        // steal a sibling's back when dry. Tasks never re-queue, so a
-        // worker that finds every deque empty can exit outright.
-        type TaskDeque<'t> = Mutex<VecDeque<(ImageKey, &'t KeySet, &'t str)>>;
-        let mut deques: Vec<TaskDeque> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            deques[i % workers]
-                .get_mut()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_back(task);
-        }
-        let deques = &deques;
+        // Claim-by-index: each worker takes the next unclaimed task off
+        // one shared cursor until the list runs out.
+        let next = AtomicUsize::new(0);
         let verdicts: Mutex<HashMap<ImageKey, SealVerdict>> = Mutex::new(HashMap::new());
-        let steals = AtomicU64::new(0);
-        let lock_deque = |w: usize| lock_clean(&deques[w]);
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (verdicts, steals, seal_one) = (&verdicts, &steals, &seal_one);
-                scope.spawn(move || loop {
-                    let mut next = { lock_deque(w).pop_front() };
-                    if next.is_none() {
-                        next = (1..workers).find_map(|i| {
-                            let stolen = { lock_deque((w + i) % workers).pop_back() };
-                            if stolen.is_some() {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            stolen
-                        });
-                    }
-                    match next {
-                        Some(task) => {
-                            if let Some((key, verdict)) = seal_one(task) {
-                                lock_clean(verdicts).insert(key, verdict);
-                            }
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(&task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        if let Some((key, verdict)) = seal_one(task) {
+                            lock_clean(&verdicts).insert(key, verdict);
                         }
-                        None => return,
                     }
                 });
             }
@@ -204,7 +175,6 @@ impl<'a> SealFarm<'a> {
             verdicts: into_clean(verdicts),
             requests: total,
             distinct,
-            steals: steals.load(Ordering::Relaxed),
         }
     }
 }

@@ -152,14 +152,11 @@ pub struct FleetStats {
     /// Tenants evicted so far.
     pub evicted_tenants: u64,
     /// Virtual-time makespan of the most recent batch, in simulated
-    /// cycles (deterministic — see [`crate::schedule`]).
+    /// cycles: the cost of the quanta it served (deterministic — see
+    /// [`crate::AsyncFleet`]).
     pub last_makespan_cycles: u64,
     /// Scheduler ticks the most recent batch took.
     pub last_ticks: u64,
-    /// Jobs the most recent batch's work-stealing pool moved between
-    /// workers (0 under [`crate::PoolMode::SharedQueue`]). Host-side
-    /// diagnostics only — steals never affect results or virtual time.
-    pub last_steals: u64,
 }
 
 impl FleetStats {

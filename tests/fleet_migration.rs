@@ -1,16 +1,17 @@
 //! Integration: job migration across fleets. A mixed 3-tenant job mix
 //! is run partway in one fleet, checkpointed mid-flight, carried as
 //! bytes, and adopted by a **freshly constructed** second fleet at a
-//! different worker count and pool mode — and every job finishes with
+//! different worker count — and every job finishes with
 //! bit-identical outcome, output, violations, statistics (simulated
 //! cycles included) and per-slice virtual-time costs to a run that
 //! never migrated. A tampered tenant's job that migrates *before* its
 //! violation fires still traps in the adopting fleet and quarantines
-//! only its tenant there.
+//! only its tenant there. The same holds for a parked job of the async
+//! driver, and virtual time prices only the quanta each fleet serves.
 
 use sofia::attacks::victims::control_loop_victim;
 use sofia::crypto::KeySet;
-use sofia::fleet::{JobCheckpoint, JobRecord, Sabotage};
+use sofia::fleet::{AsyncConfig, AsyncFleet, ClassId, JobCheckpoint, JobId, JobRecord, Sabotage};
 use sofia::prelude::*;
 use sofia::transform::Transformer;
 
@@ -20,11 +21,10 @@ fn tenant_seed(id: u32) -> u64 {
     0xF1EE7 + id as u64
 }
 
-fn fleet_with_tenants(workers: usize, pool: PoolMode) -> Fleet {
+fn fleet_with_tenants(workers: usize) -> Fleet {
     let mut fleet = Fleet::new(FleetConfig {
         workers,
         mode: SchedMode::FuelSliced { slice: SLICE },
-        pool,
         ..Default::default()
     });
     for id in 1..=3u32 {
@@ -116,19 +116,15 @@ fn essence(r: &JobRecord) -> RecordEssence {
 #[test]
 fn migrated_mix_finishes_bit_identical_across_fleets() {
     // Reference: the same mix, never migrated.
-    let mut reference = fleet_with_tenants(4, PoolMode::SharedQueue);
+    let mut reference = fleet_with_tenants(4);
     let n = submit_mix(&mut reference);
     let ref_records = reference.run_batch();
     assert_eq!(ref_records.len(), n);
 
-    for (workers2, pool2) in [
-        (1usize, PoolMode::SharedQueue),
-        (2, PoolMode::WorkStealing),
-        (7, PoolMode::WorkStealing),
-    ] {
-        // Fleet 1 serves exactly one quantum per job, then suspends the
+    for workers2 in [1usize, 2, 7] {
+        // Fleet 1 serves exactly one quantum per job, then holds the
         // survivors.
-        let mut fleet1 = fleet_with_tenants(4, PoolMode::SharedQueue);
+        let mut fleet1 = fleet_with_tenants(4);
         submit_mix(&mut fleet1);
         let finished1 = fleet1.run_batch_capped(1);
         let suspended = fleet1.queued_jobs();
@@ -150,8 +146,8 @@ fn migrated_mix_finishes_bit_identical_across_fleets() {
         );
 
         // Checkpoint each survivor, carry it as bytes, adopt it in a
-        // freshly constructed fleet with different workers/pool.
-        let mut fleet2 = fleet_with_tenants(workers2, pool2);
+        // freshly constructed fleet with a different worker count.
+        let mut fleet2 = fleet_with_tenants(workers2);
         for &id in &suspended {
             let ckpt = fleet1.checkpoint_job(id).unwrap();
             let bytes = ckpt.to_bytes();
@@ -178,7 +174,7 @@ fn migrated_mix_finishes_bit_identical_across_fleets() {
             assert_eq!(
                 essence(got),
                 essence(want),
-                "job {i} diverged after migrating to {workers2}w/{pool2:?}"
+                "job {i} diverged after migrating to {workers2} workers"
             );
         }
 
@@ -222,7 +218,7 @@ fn migrated_mix_finishes_bit_identical_across_fleets() {
 /// output.
 #[test]
 fn never_served_jobs_checkpoint_without_a_machine() {
-    let mut fleet1 = fleet_with_tenants(2, PoolMode::WorkStealing);
+    let mut fleet1 = fleet_with_tenants(2);
     let id = fleet1
         .submit(JobSpec::new(TenantId(1), loop_job(12), 50_000))
         .unwrap();
@@ -230,7 +226,7 @@ fn never_served_jobs_checkpoint_without_a_machine() {
     assert!(ckpt.machine.is_none());
     assert_eq!(ckpt.remaining, 50_000);
     let decoded = JobCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-    let mut fleet2 = fleet_with_tenants(1, PoolMode::SharedQueue);
+    let mut fleet2 = fleet_with_tenants(1);
     fleet2.adopt_job(decoded).unwrap();
     let records = fleet2.run_batch();
     assert!(records[0].outcome.is_halted());
@@ -249,7 +245,7 @@ fn never_served_jobs_checkpoint_without_a_machine() {
 /// under those keys (key domains stay structural).
 #[test]
 fn adoption_respects_the_tenant_registry() {
-    let mut fleet1 = fleet_with_tenants(1, PoolMode::SharedQueue);
+    let mut fleet1 = fleet_with_tenants(1);
     fleet1
         .submit(JobSpec::new(TenantId(1), loop_job(200), 100_000))
         .unwrap();
@@ -268,9 +264,178 @@ fn adoption_respects_the_tenant_registry() {
 
     // Same tenant id, same keys, different fleet: adoption works and
     // the job finishes with the right output.
-    let mut fleet2 = fleet_with_tenants(3, PoolMode::WorkStealing);
+    let mut fleet2 = fleet_with_tenants(3);
     fleet2.adopt_job(ckpt).unwrap();
     let records = fleet2.run_batch();
     assert!(records[0].outcome.is_halted());
     assert_eq!(records[0].out_words, vec![(1..=200).sum::<u32>()]);
+}
+
+/// Virtual time prices quanta when they are served: the makespans of
+/// successive capped batches add up to the cycles the job was served,
+/// and a fleet that adopts the job mid-flight accounts only for the
+/// quanta it ran itself.
+#[test]
+fn capped_batches_and_adoption_price_only_the_quanta_they_serve() {
+    const CAP: u32 = 3;
+    let program = sofia_workloads::kernels::fib(800).source;
+    let single = |slice: u64| {
+        let mut fleet = Fleet::new(FleetConfig {
+            workers: 1,
+            mode: SchedMode::FuelSliced { slice },
+            ..Default::default()
+        });
+        fleet
+            .register_tenant(TenantId(1), KeySet::from_seed(tenant_seed(1)))
+            .unwrap();
+        fleet
+    };
+    let sum = |cycles: &[u64]| cycles.iter().sum::<u64>();
+
+    // Two batches on one fleet: the capped one, then the rest.
+    let mut fleet = single(500);
+    fleet
+        .submit(JobSpec::new(TenantId(1), program.clone(), 1_000_000))
+        .unwrap();
+    assert!(fleet.run_batch_capped(CAP).is_empty(), "job must be held");
+    let capped = fleet.stats();
+    assert_eq!(capped.last_ticks, CAP as u64);
+    assert!(
+        capped.last_makespan_cycles > 0,
+        "served quanta were not priced"
+    );
+    let r = fleet.run_batch().remove(0);
+    assert!(r.outcome.is_halted());
+    let rest = fleet.stats();
+    let served = r.slices - CAP;
+    assert!(served > 0);
+    assert_eq!(
+        capped.last_makespan_cycles,
+        sum(&r.slice_cycles[..CAP as usize])
+    );
+    assert_eq!(
+        rest.last_makespan_cycles,
+        sum(&r.slice_cycles[CAP as usize..])
+    );
+    assert_eq!(
+        capped.last_makespan_cycles + rest.last_makespan_cycles,
+        sum(&r.slice_cycles),
+        "per-batch makespans must sum to the cycles served"
+    );
+    assert_eq!(rest.last_ticks, served as u64);
+    // The record reports on the second batch's own clock.
+    assert_eq!((r.arrival_tick, r.start_tick), (0, 0));
+    assert_eq!(r.end_tick, served as u64);
+    assert_eq!(r.sojourn_cycles, rest.last_makespan_cycles);
+
+    // The same job, carried to a second fleet after the capped batch.
+    let mut source = single(500);
+    let id = source
+        .submit(JobSpec::new(TenantId(1), program, 1_000_000))
+        .unwrap();
+    assert!(source.run_batch_capped(CAP).is_empty());
+    let bytes = source.checkpoint_job(id).unwrap().to_bytes();
+    let mut adopter = single(500);
+    adopter
+        .adopt_job(JobCheckpoint::from_bytes(&bytes).unwrap())
+        .unwrap();
+    let adopted = adopter.run_batch().remove(0);
+    assert_eq!(essence(&adopted), essence(&r));
+    let stats = adopter.stats();
+    assert_eq!(stats.last_ticks, served as u64);
+    assert_eq!(
+        stats.last_makespan_cycles,
+        sum(&adopted.slice_cycles[CAP as usize..]),
+        "the adopting fleet priced quanta it never ran"
+    );
+    assert_eq!(
+        source.stats().last_makespan_cycles + stats.last_makespan_cycles,
+        sum(&adopted.slice_cycles)
+    );
+}
+
+fn async_with_tenants(threads: usize, workers: usize) -> AsyncFleet {
+    let mut fleet = AsyncFleet::new(AsyncConfig {
+        threads,
+        workers,
+        mode: SchedMode::FuelSliced { slice: SLICE },
+        park_after: Some(1),
+        ..Default::default()
+    });
+    for id in 1..=3u32 {
+        fleet
+            .register_tenant(TenantId(id), KeySet::from_seed(tenant_seed(id)), ClassId(0))
+            .unwrap();
+    }
+    fleet
+}
+
+/// Migration works for async tenants too: a job the driver has parked
+/// to `SOFS1` bytes checkpoints, travels as `SOFJ1` bytes, and finishes
+/// in a second driver with different threads and lanes exactly as it
+/// would have at home. A forged resume edge is caught on resume.
+#[test]
+fn parked_async_job_migrates_bit_identical_and_forged_edges_are_caught() {
+    let long = JobSpec::new(TenantId(1), loop_job(181), 100_000);
+    let short = JobSpec::new(TenantId(2), loop_job(90), 100_000);
+
+    // Reference: the same two jobs, never migrated.
+    let mut home = async_with_tenants(1, 1);
+    home.submit(long.clone()).unwrap();
+    home.submit(short.clone()).unwrap();
+    home.run_until_idle();
+    let reference = home.drain_finished();
+    let ref_long = reference.iter().find(|r| r.job == JobId(0)).unwrap();
+    assert!(ref_long.outcome.is_halted() && ref_long.slices > 1);
+
+    // One lane: the long job runs a quantum, re-queues behind the short
+    // one, and parks at the end of the tick.
+    let mut source = async_with_tenants(1, 1);
+    let id = source.submit(long).unwrap();
+    source.submit(short).unwrap();
+    source.tick();
+    assert_eq!(source.parked_jobs(), 1);
+    let ckpt = source.checkpoint_job(id).unwrap();
+    assert!(ckpt.machine.is_some(), "the parked machine travels");
+    assert_eq!(ckpt.slices, 1);
+    assert!(matches!(
+        source.checkpoint_job(id),
+        Err(sofia::fleet::FleetError::UnknownJob(_))
+    ));
+    let bytes = ckpt.to_bytes();
+
+    let mut adopter = async_with_tenants(2, 3);
+    let adopted_id = adopter
+        .adopt_job(JobCheckpoint::from_bytes(&bytes).unwrap())
+        .unwrap();
+    adopter.run_until_idle();
+    let adopted = adopter.drain_finished();
+    assert_eq!(adopted.len(), 1);
+    assert_eq!(adopted[0].job, adopted_id);
+    assert_eq!(essence(&adopted[0]), essence(ref_long));
+
+    // The source keeps serving what stayed behind.
+    source.run_until_idle();
+    let stayed = source.drain_finished();
+    assert_eq!(stayed.len(), 1);
+    assert_eq!(stayed[0].out_words, vec![(1..=90).sum::<u32>()]);
+
+    // A forged resume edge in the same bytes.
+    let mut forged = JobCheckpoint::from_bytes(&bytes).unwrap();
+    if let Some(snap) = forged.machine.as_mut() {
+        snap.prev_pc ^= 4;
+    }
+    let mut victim = async_with_tenants(2, 2);
+    victim.adopt_job(forged).unwrap();
+    victim.run_until_idle();
+    let r = victim.drain_finished().remove(0);
+    assert!(
+        r.outcome.is_violation() && !r.violations.is_empty(),
+        "forged edge must be detected on resume, got {:?}",
+        r.outcome
+    );
+    assert_eq!(
+        victim.tenant_state(TenantId(1)),
+        Some(sofia::fleet::TenantState::Suspended)
+    );
 }
